@@ -49,12 +49,15 @@ def _parse_bindings(text: str) -> dict[str, int]:
         except ValueError:
             raise UsageError(f"binding {piece!r} is not var=integer") from None
         if name == "all":
-            for var in "xyzpq":
-                bindings[var] = value
+            names = "xyzpq"
         elif name in "xyzpq" and len(name) == 1:
-            bindings[name] = value
+            names = name
         else:
             raise UsageError(f"unknown variable {name!r} in --bind")
+        for var in names:
+            if var in bindings:
+                raise UsageError(f"variable {var!r} bound twice in --bind")
+            bindings[var] = value
     return bindings
 
 
@@ -62,7 +65,7 @@ def _parse_columns(text: str) -> list[int]:
     if not text.startswith("q="):
         raise UsageError("--columns expects the form q=1,0,-1")
     try:
-        return [int(v) for v in text[2:].split(",") if v.strip() != ""]
+        return [int(v) for v in text[2:].split(",")]
     except ValueError:
         raise UsageError("--columns values must be integers") from None
 
@@ -92,7 +95,7 @@ def _expr_json(expr: SymExpr) -> list[dict]:
 
 
 def _emit(args, payload: dict, plain_lines: list[str],
-          csv_rows: list[list]) -> None:
+          csv_rows: list[list]) -> int:
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
@@ -101,6 +104,7 @@ def _emit(args, payload: dict, plain_lines: list[str],
     else:
         for line in plain_lines:
             print(line)
+    return 0
 
 
 def _effective_nmax(args, default: int) -> int:
@@ -137,7 +141,7 @@ def cmd_fpoly(args) -> int:
                   for i in range(len(header))]
         plain = ["  ".join(str(v).ljust(w) for v, w in zip(r, widths)).rstrip()
                  for r in [header] + rows]
-        return _finish(args, payload, plain, [header] + rows)
+        return _emit(args, payload, plain, [header] + rows)
 
     poly = recurrence.joint_poly(n)
     if bindings:
@@ -152,7 +156,7 @@ def cmd_fpoly(args) -> int:
     csv_rows = [["coeff", "ex", "ey", "ez", "ep", "eq"]] + [
         [t["coeff"], t["ex"], t["ey"], t["ez"], t["ep"], t["eq"]]
         for t in poly.to_json_terms()]
-    return _finish(args, payload, [text], csv_rows)
+    return _emit(args, payload, [text], csv_rows)
 
 
 # ----------------------------------------------------------------- verify
@@ -161,6 +165,11 @@ def cmd_verify(args) -> int:
     nmax = _effective_nmax(args, default=8)
     if not 1 <= nmax <= 12:
         raise UsageError("bound must be in 1..12")
+    if args.trunc is not None:
+        if args.suite not in ("identities", "all"):
+            raise UsageError("--trunc applies only to verify identities and verify all")
+        if args.trunc < 1:
+            raise UsageError("--trunc must be a positive integer")
     results = run_suite(args.suite, nmax, args.trunc)
     checks = [{"name": r.name, "pass": r.passed, "detail": r.detail}
               for r in results]
@@ -227,7 +236,7 @@ def cmd_sequence(args) -> int:
     else:
         plain = [" ".join(str(v) for v in values)]
         csv_rows = [values]
-    return _finish(args, payload, plain, csv_rows)
+    return _emit(args, payload, plain, csv_rows)
 
 
 # -------------------------------------------------------------- lnk/expand
@@ -245,7 +254,7 @@ def cmd_lnk(args) -> int:
     csv_rows = [["coeff", "word"]] + [
         [str(c), " ".join(f"{f.kind}:{f.deriv}:{f.shift}" for f in w)]
         for w, c in expr.sorted_items()]
-    return _finish(args, payload, [str(expr)], csv_rows)
+    return _emit(args, payload, [str(expr)], csv_rows)
 
 
 def cmd_expand(args) -> int:
@@ -261,7 +270,7 @@ def cmd_expand(args) -> int:
     csv_rows = [["coeff", "word"]] + [
         [str(c), " ".join(f"{f.kind}:{f.deriv}:{f.shift}" for f in w)]
         for w, c in expr.sorted_items()]
-    return _finish(args, payload, [str(expr)], csv_rows)
+    return _emit(args, payload, [str(expr)], csv_rows)
 
 
 # ------------------------------------------------------------------- freq
@@ -284,12 +293,7 @@ def cmd_freq(args) -> int:
     csv_rows = [["coeff", "ex", "ey", "ez", "ep", "eq"]] + [
         [t["coeff"], t["ex"], t["ey"], t["ez"], t["ep"], t["eq"]]
         for t in mp.to_json_terms()]
-    return _finish(args, payload, [str(poly)], csv_rows)
-
-
-def _finish(args, payload, plain, csv_rows) -> int:
-    _emit(args, payload, plain, csv_rows)
-    return 0
+    return _emit(args, payload, [str(poly)], csv_rows)
 
 
 # ------------------------------------------------------------------ parser
@@ -319,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nmax", nargs="?", type=int)
     p.add_argument("--max-n", type=int, dest="max_n")
     p.add_argument("--trunc", type=int,
-                   help="series truncation for the identities suite")
+                   help="series truncation for the identities suite; "
+                        "each check uses at least n + 2")
     add_format(p)
     p.set_defaults(func=cmd_verify)
 

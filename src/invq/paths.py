@@ -261,22 +261,17 @@ def returns_triangle_row(n: int) -> list[int]:
     return row
 
 
-def _distribution(values) -> Counter:
-    return Counter(values)
-
-
 def returns_distribution(n: int) -> Counter:
     """Return counts over all paths of semilength n, by enumeration."""
-    return _distribution(dyck_stats(w).returns for w in lattice_paths(n))
+    return Counter(dyck_stats(w).returns for w in lattice_paths(n))
 
 
 def first_peak_distribution(n: int) -> Counter:
-    return _distribution(dyck_stats(w).first_peak_height
-                         for w in lattice_paths(n))
+    return Counter(dyck_stats(w).first_peak_height for w in lattice_paths(n))
 
 
 def valley_distribution(n: int) -> Counter:
-    return _distribution(dyck_stats(w).valleys for w in lattice_paths(n))
+    return Counter(dyck_stats(w).valleys for w in lattice_paths(n))
 
 
 def peak_sum_distribution(n: int) -> Counter:

@@ -9,7 +9,12 @@ QLaurent is the one-variable companion for q-only quantities.  It allows
 negative exponents, which the q -> 1/q substitutions of the Stirling-family
 relations need as an intermediate step.
 
-Both types are immutable: every operation returns a fresh value, so
+Both derive from TermMap, the sparse key -> nonzero coefficient map that
+also carries qoperator.SymExpr; it owns zero elision, addition, negation,
+subtraction, powers and structural equality.  Each subclass keeps its own
+key validation, multiplication, substitutions and rendering.
+
+All three types are immutable: every operation returns a fresh value, so
 instances can be shared freely across threads.
 """
 
@@ -21,8 +26,6 @@ VARIABLES = ("x", "y", "z", "p", "q")
 
 # exponent vector, one slot per entry of VARIABLES
 ExpVec = tuple[int, int, int, int, int]
-
-_CONST_KEY: ExpVec = (0, 0, 0, 0, 0)
 
 
 def _term_order(item):
@@ -50,19 +53,125 @@ def _join_signed(chunks: list[tuple[int, str]]) -> str:
     return text
 
 
-class MultiPoly:
-    """Sparse exact polynomial in (x, y, z, p, q).
+class TermMap:
+    """Sparse map from a key to a nonzero exact coefficient.
 
-    The term map is normalized: zero coefficients are never stored and the
-    zero polynomial is the empty map.  Structural equality of term maps is
-    polynomial equality.
+    The map is normalized: zero coefficients are never stored and zero is
+    the empty map, so structural equality of term maps is equality of
+    values.  A subclass with a constant term names its key in `_UNIT`;
+    `one`, `constant` and int operands are available only there.
+    """
+
+    __slots__ = ("_terms",)
+
+    _UNIT = None
+
+    @classmethod
+    def _raw(cls, terms: dict):
+        # trusted constructor: terms already normalized, ownership transfers
+        val = object.__new__(cls)
+        val._terms = terms
+        return val
+
+    @classmethod
+    def zero(cls):
+        return cls._raw({})
+
+    @classmethod
+    def one(cls):
+        return cls.constant(1)
+
+    @classmethod
+    def constant(cls, c: int):
+        if cls._UNIT is None:
+            raise TypeError(f"{cls.__name__} has no constant term")
+        return cls._raw({cls._UNIT: c} if c else {})
+
+    def items(self) -> Iterator:
+        """Iterate (key, coefficient) pairs, unordered."""
+        return iter(self._terms.items())
+
+    def term_count(self) -> int:
+        return len(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    # ----------------------------------------------------------- arithmetic
+
+    @classmethod
+    def _coerce(cls, other):
+        if isinstance(other, cls):
+            return other
+        if isinstance(other, int) and cls._UNIT is not None:
+            return cls.constant(other)
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
+            # a fresh sum even for keys new to `out`: storing `coeff` itself
+            # shares coefficients with the operand, which keeps the memory of
+            # freed temporaries alive (higher peak RSS in the recurrence)
+            c = out.get(key, 0) + coeff
+            if c:
+                out[key] = c
+            elif key in out:
+                del out[key]
+        return self._raw(out)
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative int")
+        result = self.one()
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __bool__(self):
+        return bool(self._terms)
+
+    __hash__ = None  # mutable-dict backed; compare structurally only
+
+    def __repr__(self):
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+class MultiPoly(TermMap):
+    """Sparse exact polynomial in (x, y, z, p, q), keyed by exponent vector.
 
     >>> x, p = MultiPoly.variable("x"), MultiPoly.variable("p")
     >>> str((p + x) * x)
     'x^2 + x*p'
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+
+    _UNIT: ExpVec = (0, 0, 0, 0, 0)
 
     def __init__(self, terms: Mapping[ExpVec, int] | None = None):
         data: dict[ExpVec, int] = {}
@@ -77,26 +186,7 @@ class MultiPoly:
                         del data[key]
         self._terms = data
 
-    @classmethod
-    def _raw(cls, terms: dict[ExpVec, int]) -> "MultiPoly":
-        # trusted constructor: terms already normalized, ownership transfers
-        poly = object.__new__(cls)
-        poly._terms = terms
-        return poly
-
     # ---------------------------------------------------------------- build
-
-    @classmethod
-    def zero(cls) -> "MultiPoly":
-        return cls._raw({})
-
-    @classmethod
-    def one(cls) -> "MultiPoly":
-        return cls._raw({_CONST_KEY: 1})
-
-    @classmethod
-    def constant(cls, c: int) -> "MultiPoly":
-        return cls._raw({_CONST_KEY: c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
@@ -114,36 +204,23 @@ class MultiPoly:
 
     # ------------------------------------------------------------ accessors
 
-    def items(self) -> Iterator[tuple[ExpVec, int]]:
-        """Iterate (exponent vector, coefficient) pairs, unordered."""
-        return iter(self._terms.items())
-
     def sorted_items(self) -> list[tuple[ExpVec, int]]:
         return sorted(self._terms.items(), key=_term_order)
 
     def coefficient(self, key: Iterable[int]) -> int:
         return self._terms.get(tuple(key), 0)
 
-    def term_count(self) -> int:
-        return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def degree_in(self, name: str) -> int:
         """Largest exponent of `name`; 0 for the zero polynomial."""
         i = VARIABLES.index(name)
         return max((key[i] for key in self._terms), default=0)
 
-    def total_degree(self) -> int:
-        return max((sum(key) for key in self._terms), default=0)
-
     def constant_value(self) -> int:
         """The value of a constant polynomial; error if any variable occurs."""
         for key in self._terms:
-            if key != _CONST_KEY:
+            if key != self._UNIT:
                 raise ValueError("polynomial is not constant")
-        return self._terms.get(_CONST_KEY, 0)
+        return self._terms.get(self._UNIT, 0)
 
     def support_variables(self) -> set[str]:
         used = set()
@@ -155,43 +232,9 @@ class MultiPoly:
 
     # ----------------------------------------------------------- arithmetic
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, MultiPoly):
-            return other
-        if isinstance(other, int):
-            return MultiPoly.constant(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            c = out.get(key, 0) + coeff
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-        return MultiPoly._raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly._raw({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+    # named in this class's own namespace too: perfbench/tracer.py wraps
+    # the ring operators it finds there
+    __add__ = __radd__ = TermMap.__add__
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -214,25 +257,6 @@ class MultiPoly:
         return MultiPoly._raw(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        result = MultiPoly.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    __hash__ = None  # mutable-dict backed; compare structurally only
 
     # -------------------------------------------------------- substitutions
 
@@ -330,9 +354,6 @@ class MultiPoly:
             chunks.append((1 if coeff > 0 else -1, body))
         return _join_signed(chunks)
 
-    def __repr__(self):
-        return f"MultiPoly({str(self)!r})"
-
     def to_json_terms(self) -> list[dict]:
         """Canonically ordered list of {"coeff", "ex", "ey", "ez", "ep", "eq"}."""
         return [
@@ -358,14 +379,16 @@ class MultiPoly:
         return QLaurent._raw(out)
 
 
-class QLaurent:
+class QLaurent(TermMap):
     """Laurent polynomial in q alone, exact integer coefficients.
 
     >>> str(QLaurent({2: 3, 0: 1}))
     '3q^2 + 1'
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+
+    _UNIT = 0
 
     def __init__(self, terms: Mapping[int, int] | None = None):
         data: dict[int, int] = {}
@@ -378,86 +401,23 @@ class QLaurent:
         self._terms = data
 
     @classmethod
-    def _raw(cls, terms: dict[int, int]) -> "QLaurent":
-        val = object.__new__(cls)
-        val._terms = terms
-        return val
-
-    @classmethod
-    def zero(cls) -> "QLaurent":
-        return cls._raw({})
-
-    @classmethod
-    def one(cls) -> "QLaurent":
-        return cls._raw({0: 1})
-
-    @classmethod
-    def constant(cls, c: int) -> "QLaurent":
-        return cls._raw({0: c} if c else {})
-
-    @classmethod
     def q_power(cls, e: int, coeff: int = 1) -> "QLaurent":
         return cls._raw({int(e): coeff} if coeff else {})
 
     # ------------------------------------------------------------ accessors
 
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._terms.items())
-
     def coefficient(self, e: int) -> int:
         return self._terms.get(e, 0)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def is_polynomial(self) -> bool:
         return all(e >= 0 for e in self._terms)
-
-    def min_exponent(self) -> int:
-        return min(self._terms, default=0)
 
     def max_exponent(self) -> int:
         return max(self._terms, default=0)
 
     # ----------------------------------------------------------- arithmetic
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, QLaurent):
-            return other
-        if isinstance(other, int):
-            return QLaurent.constant(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            nc = out.get(e, 0) + c
-            if nc:
-                out[e] = nc
-            elif e in out:
-                del out[e]
-        return QLaurent._raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QLaurent._raw({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+    __add__ = __radd__ = TermMap.__add__
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -475,25 +435,6 @@ class QLaurent:
         return QLaurent._raw(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative int")
-        result = QLaurent.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    __hash__ = None
 
     # -------------------------------------------------------- substitutions
 
@@ -537,6 +478,3 @@ class QLaurent:
                 body = qpart if mag == 1 else f"{mag}{qpart}"
             chunks.append((1 if c > 0 else -1, body))
         return _join_signed(chunks)
-
-    def __repr__(self):
-        return f"QLaurent({str(self)!r})"

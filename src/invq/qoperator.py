@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, NamedTuple
 
 from .invseq import inversion_sequences, occurrence_counts, sequence_stats
-from .polyring import MultiPoly, QLaurent
+from .polyring import MultiPoly, QLaurent, TermMap
 from .qcalc import q_binomial
 
 
@@ -50,13 +50,14 @@ def _format_factor(f: Factor) -> str:
     return text
 
 
-class SymExpr:
+class SymExpr(TermMap):
     """Finite combination of words with QLaurent coefficients.
 
-    Zero coefficients are elided; equality is structural.
+    Zero coefficients are elided; equality is structural.  There is no
+    constant word, so int operands are refused.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict[Word, QLaurent] | None = None):
         data: dict[Word, QLaurent] = {}
@@ -69,45 +70,13 @@ class SymExpr:
         self._terms = data
 
     @classmethod
-    def _raw(cls, terms: dict[Word, QLaurent]) -> "SymExpr":
-        expr = object.__new__(cls)
-        expr._terms = terms
-        return expr
-
-    @classmethod
     def from_word(cls, word: Word, coeff: QLaurent | int = 1) -> "SymExpr":
         if not isinstance(coeff, QLaurent):
             coeff = QLaurent.constant(coeff)
         return cls._raw({tuple(word): coeff} if coeff else {})
 
-    @classmethod
-    def zero(cls) -> "SymExpr":
-        return cls._raw({})
-
-    def items(self) -> Iterator[tuple[Word, QLaurent]]:
-        return iter(self._terms.items())
-
     def sorted_items(self) -> list[tuple[Word, QLaurent]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0])
-
-    def word_count(self) -> int:
-        return len(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other):
-        if not isinstance(other, SymExpr):
-            return NotImplemented
-        out = dict(self._terms)
-        for word, coeff in other._terms.items():
-            c = out.get(word)
-            c = coeff if c is None else c + coeff
-            if c:
-                out[word] = c
-            elif word in out:
-                del out[word]
-        return SymExpr._raw(out)
 
     def scale(self, coeff: QLaurent | int) -> "SymExpr":
         if not isinstance(coeff, QLaurent):
@@ -115,13 +84,6 @@ class SymExpr:
         if not coeff:
             return SymExpr.zero()
         return SymExpr._raw({w: c * coeff for w, c in self._terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, SymExpr):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None
 
     def __str__(self):
         if not self._terms:
@@ -134,9 +96,6 @@ class SymExpr:
             else:
                 parts.append(f"({coeff}) {body}")
         return " + ".join(parts)
-
-    def __repr__(self):
-        return f"SymExpr({str(self)!r})"
 
 
 # ------------------------------------------------------------ the operator

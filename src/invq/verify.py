@@ -149,7 +149,7 @@ def run_paths(nmax: int) -> list[CheckResult]:
             ok &= row == [zero_counts.get(k, 0) for k in range(1, n + 1)]
             valleys = paths.valley_distribution(n)
             ok &= paths.narayana_row(n) == [valleys.get(k, 0) for k in range(n)]
-            ok &= paths.first_peak_distribution(n) == paths.returns_distribution(n)
+            ok &= paths.first_peak_distribution(n) == brute
         return ok, f"returns / zeros / Narayana / first-peak triangles, n <= {top}"
     s.run("paths.triangles", triangles)
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output text, schema, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -73,6 +74,11 @@ def test_fpoly_usage_errors(capsys):
     code, _, err = run(capsys, "fpoly", "3", "--bind", "x=1",
                        "--columns", "q=1")
     assert code == 2 and "error:" in err
+    for bad in (["--columns", "q=1,,2"], ["--columns", "q="],
+                ["--bind", "x=1,x=2"], ["--bind", "all=1,q=0"]):
+        code, out, err = run(capsys, "fpoly", "3", *bad)
+        assert (code, out) == (2, ""), bad
+        assert "error:" in err, bad
 
 
 # ------------------------------------------------------------------ verify
@@ -119,6 +125,13 @@ def test_verify_usage(capsys):
     assert run(capsys, "verify", "paths", "5", "--max-n", "6")[0] == 2
     with pytest.raises(SystemExit):
         run(capsys, "verify", "nonsense")
+    for bad in (["identities", "3", "--trunc", "0"],
+                ["all", "3", "--trunc", "-5"],
+                ["paths", "3", "--trunc", "10"]):
+        code, out, err = run(capsys, "verify", *bad)
+        assert (code, out) == (2, ""), bad
+        assert "error:" in err, bad
+    assert run(capsys, "verify", "identities", "3", "--trunc", "1")[0] == 0
 
 
 # ---------------------------------------------------------------- sequence
@@ -207,6 +220,26 @@ def test_freq_usage(capsys):
     assert run(capsys, "freq", ",".join(["1"] * 13))[0] == 2
 
 
+# ------------------------------------------------------------ golden bytes
+
+# sha256 of stdout for outputs the benchmark's digests do not cover
+GOLDEN_SHA256 = {
+    "expand 6 --format json":
+        "572b18fdf7b109126172673bc7dfbb3c9aa4bf51c4c24ccaa330764045d5368c",
+    "lnk 7 3 --format csv":
+        "96ef12fd0f105f5ae4d92a3357fd3d1779e31855f4e90fa36208d9f3cf67e917",
+    "freq 3,2,1,1,0,0,0 --format json":
+        "da035f604194feeb1f75272dbd8a39b251b179ea9acfcf184a0ad2040d268546",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN_SHA256)
+def test_golden_output(capsys, command):
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[command]
+
+
 # ----------------------------------------------------------------- plumbing
 
 def test_no_subcommand_exits_via_argparse(capsys):
@@ -230,6 +263,15 @@ if __name__ == "__main__":
 """
 
 
+def _env_importing(*dirs):
+    """The environment with `dirs` and this suite's `invq` package in front
+    of PYTHONPATH."""
+    package_root = str(Path(invq.__file__).resolve().parents[1])
+    pythonpath = [*dirs, package_root, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+
+
 def _assert_prints_catalan(command, env=None):
     proc = subprocess.run([*command, "sequence", "catalan", "5"],
                           capture_output=True, text=True, env=env)
@@ -247,11 +289,23 @@ def test_console_script_is_installed(tmp_path):
     module, _, attr = _declared_console_script().partition(":")
     script = tmp_path / "invq"
     script.write_text(_CONSOLE_SCRIPT.format(module=module, attr=attr))
-    package_root = str(Path(invq.__file__).resolve().parents[1])
-    pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
-    _assert_prints_catalan([sys.executable, str(script)], env)
+    _assert_prints_catalan([sys.executable, str(script)], _env_importing())
 
     exe = shutil.which("invq")
     if exe:
         _assert_prints_catalan([exe])
+
+
+def test_perfbench_tracer_installs():
+    """perfbench/tracer.py finds every layer it wraps.
+
+    The tracer wraps methods through each class's own namespace, so a
+    refactor that moves a traced method into a base class breaks traced
+    benchmark runs; this catches it without running the benchmark.
+    """
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    env = dict(_env_importing(str(perfbench)), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

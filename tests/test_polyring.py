@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invq.polyring import VARIABLES, MultiPoly, QLaurent
+from invq.qoperator import SymExpr, f_factor, g_factor
 
 X = MultiPoly.variable("x")
 Y = MultiPoly.variable("y")
@@ -25,6 +26,27 @@ def int_points():
 
 def eval_at(poly, point):
     return poly.eval_partial(dict(zip(VARIABLES, point))).constant_value()
+
+
+# ------------------------------------------------------- shared term map
+
+@pytest.mark.parametrize("value, negate, foreign", [
+    (MultiPoly({(1, 0, 0, 2, 0): 3, (0, 0, 0, 0, 0): -1}), lambda a: -a,
+     QLaurent.one()),
+    (QLaurent({-1: 2, 3: 5}), lambda a: -a, MultiPoly.one()),
+    (SymExpr({(g_factor(), f_factor(1, 2)): QLaurent({0: 1, 2: -4})}),
+     lambda a: a.scale(-1), 1),
+], ids=["MultiPoly", "QLaurent", "SymExpr"])
+def test_term_map_core(value, negate, foreign):
+    total = value + negate(value)
+    assert total.is_zero() and total.term_count() == 0
+    assert total == type(value).zero()
+    with pytest.raises(TypeError):
+        value + foreign
+    with pytest.raises(TypeError):
+        foreign + value
+    with pytest.raises(TypeError):
+        hash(value)
 
 
 # ------------------------------------------------------------ construction

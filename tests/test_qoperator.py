@@ -130,9 +130,9 @@ def test_coefficient_three_ways(n):
 
 def test_extraction_covers_everything():
     full = operator_expansion(5)
-    words = sum(comtet_coeff_from_expansion(full, k).word_count()
+    words = sum(comtet_coeff_from_expansion(full, k).term_count()
                 for k in range(1, 6))
-    assert words == full.word_count()
+    assert words == full.term_count()
 
 
 # ----------------------------------------------------------- specialization
