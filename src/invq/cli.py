@@ -21,10 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
-from . import recurrence
+from . import identities, paths, recurrence
 from .invseq import MAX_BRUTE_LENGTH, fixed_freq_poly
-from .oeis import STAT_NAMES
 from .polyring import MultiPoly
 from .qoperator import (SymExpr, comtet_coeff_explicit, operator_expansion)
 from .verify import SUITES, run_suite
@@ -41,7 +41,7 @@ def _parse_bindings(text: str) -> dict[str, int]:
     for piece in text.split(","):
         piece = piece.strip()
         if not piece:
-            continue
+            raise UsageError("empty slot in --bind")
         name, _, value = piece.partition("=")
         name = name.strip()
         try:
@@ -84,16 +84,6 @@ def _poly_text(poly: MultiPoly) -> str:
     return str(poly)
 
 
-def _expr_json(expr: SymExpr) -> list[dict]:
-    out = []
-    for word, coeff in expr.sorted_items():
-        out.append({
-            "coeff": [[e, c] for e, c in sorted(coeff.items())],
-            "factors": [[f.kind, f.deriv, f.shift] for f in word],
-        })
-    return out
-
-
 def _emit(args, payload: dict, plain_lines: list[str],
           csv_rows: list[list]) -> int:
     if args.format == "json":
@@ -120,7 +110,7 @@ def cmd_fpoly(args) -> int:
     n = args.n
     if not 1 <= n <= MAX_BRUTE_LENGTH:
         raise UsageError(f"length must be in 1..{MAX_BRUTE_LENGTH}")
-    bindings = _parse_bindings(args.bind) if args.bind else {}
+    bindings = _parse_bindings(args.bind) if args.bind is not None else {}
 
     if args.columns is not None:
         if bindings:
@@ -193,37 +183,24 @@ def cmd_verify(args) -> int:
 
 # --------------------------------------------------------------- sequence
 
-_SEQUENCE_BOUNDS = {"catalan": 14, "narayana": 14, "returns": 14,
-                    "involutions": 14, "a114503": 10, "a056151": 9,
-                    "eulerian": 9}
-
-
-def _compute_sequence(stat: str, nmax: int):
-    from . import identities, paths
-
-    if stat == "catalan":
-        return [paths.catalan(n) for n in range(1, nmax + 1)]
-    if stat == "involutions":
-        return [paths.involution_number(n) for n in range(1, nmax + 1)]
-    if stat == "narayana":
-        return [paths.narayana_row(n) for n in range(1, nmax + 1)]
-    if stat == "returns":
-        return [paths.returns_triangle_row(n) for n in range(1, nmax + 1)]
-    if stat == "a114503":
-        return [paths.peak_sum_row(n) for n in range(1, nmax + 1)]
-    if stat == "a056151":
-        return [identities.max_displacement_counts(n) for n in range(1, nmax + 1)]
-    if stat == "eulerian":
-        return [identities.eulerian_row(n) for n in range(1, nmax + 1)]
-    raise UsageError(f"unknown statistic {stat!r}")
+# stat -> (largest length, value at one length), in oeis.STAT_NAMES order
+SEQUENCES: dict[str, tuple[int, Callable[[int], int | list[int]]]] = {
+    "catalan": (14, paths.catalan),
+    "narayana": (14, paths.narayana_row),
+    "returns": (14, paths.returns_triangle_row),
+    "a114503": (10, paths.peak_sum_row),
+    "a056151": (9, identities.max_displacement_counts),
+    "involutions": (14, paths.involution_number),
+    "eulerian": (9, identities.eulerian_row),
+}
 
 
 def cmd_sequence(args) -> int:
-    bound = _SEQUENCE_BOUNDS[args.stat]
+    bound, value = SEQUENCES[args.stat]
     nmax = _effective_nmax(args, default=min(bound, 8))
     if not 1 <= nmax <= bound:
         raise UsageError(f"bound for {args.stat} must be in 1..{bound}")
-    values = _compute_sequence(args.stat, nmax)
+    values = [value(n) for n in range(1, nmax + 1)]
     payload = {
         "command": "sequence",
         "params": {"stat": args.stat, "max_n": nmax},
@@ -241,36 +218,36 @@ def cmd_sequence(args) -> int:
 
 # -------------------------------------------------------------- lnk/expand
 
-def cmd_lnk(args) -> int:
-    if not 1 <= args.k <= args.n <= 10:
-        raise UsageError("need 1 <= K <= N <= 10")
-    expr = comtet_coeff_explicit(args.n, args.k)
+def _emit_expr(args, command: str, params: dict, expr: SymExpr) -> int:
+    text = str(expr)
+    items = expr.sorted_items()
+    words = [{"coeff": [[e, c] for e, c in sorted(coeff.items())],
+              "factors": [[f.kind, f.deriv, f.shift] for f in word]}
+             for word, coeff in items]
     payload = {
-        "command": "lnk",
-        "params": {"n": args.n, "k": args.k},
-        "result": {"text": str(expr), "words": _expr_json(expr)},
+        "command": command,
+        "params": params,
+        "result": {"text": text, "words": words},
         "checks": [],
     }
     csv_rows = [["coeff", "word"]] + [
         [str(c), " ".join(f"{f.kind}:{f.deriv}:{f.shift}" for f in w)]
-        for w, c in expr.sorted_items()]
-    return _emit(args, payload, [str(expr)], csv_rows)
+        for w, c in items]
+    return _emit(args, payload, [text], csv_rows)
+
+
+def cmd_lnk(args) -> int:
+    if not 1 <= args.k <= args.n <= 10:
+        raise UsageError("need 1 <= K <= N <= 10")
+    return _emit_expr(args, "lnk", {"n": args.n, "k": args.k},
+                      comtet_coeff_explicit(args.n, args.k))
 
 
 def cmd_expand(args) -> int:
     if not 1 <= args.n <= 9:
         raise UsageError("need 1 <= N <= 9")
-    expr = operator_expansion(args.n)
-    payload = {
-        "command": "expand",
-        "params": {"n": args.n},
-        "result": {"text": str(expr), "words": _expr_json(expr)},
-        "checks": [],
-    }
-    csv_rows = [["coeff", "word"]] + [
-        [str(c), " ".join(f"{f.kind}:{f.deriv}:{f.shift}" for f in w)]
-        for w, c in expr.sorted_items()]
-    return _emit(args, payload, [str(expr)], csv_rows)
+    return _emit_expr(args, "expand", {"n": args.n},
+                      operator_expansion(args.n))
 
 
 # ------------------------------------------------------------------- freq
@@ -329,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sequence", help="classical counting sequences")
-    p.add_argument("stat", choices=STAT_NAMES)
+    p.add_argument("stat", choices=tuple(SEQUENCES))
     p.add_argument("nmax", nargs="?", type=int)
     p.add_argument("--max-n", type=int, dest="max_n")
     add_format(p)

@@ -129,12 +129,6 @@ def sequence_from_path(word: LatticePath) -> InvSeq:
     return tuple(e)
 
 
-def to_dyck_word(word: LatticePath) -> str:
-    """E -> U (up), N -> D (down); subdiagonal words become Dyck words."""
-    validate_path(word)
-    return word.replace("E", "U").replace("N", "D")
-
-
 def reverse_swap(word: LatticePath) -> LatticePath:
     """Reverse the word and exchange E with N; an involution on paths.
 

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import invq
-from invq.cli import main
+from invq import oeis
+from invq.cli import SEQUENCES, main
+from invq.polyring import MultiPoly
 
 
 def run(capsys, *argv):
@@ -75,7 +77,9 @@ def test_fpoly_usage_errors(capsys):
                        "--columns", "q=1")
     assert code == 2 and "error:" in err
     for bad in (["--columns", "q=1,,2"], ["--columns", "q="],
-                ["--bind", "x=1,x=2"], ["--bind", "all=1,q=0"]):
+                ["--bind", "x=1,x=2"], ["--bind", "all=1,q=0"],
+                ["--bind", "x=1,,y=1"], ["--bind", ","], ["--bind", "x=1, "],
+                ["--bind", ""]):
         code, out, err = run(capsys, "fpoly", "3", *bad)
         assert (code, out) == (2, ""), bad
         assert "error:" in err, bad
@@ -118,6 +122,19 @@ def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify", "all", "4")
     assert code == 0
     assert "passed" in out.strip().splitlines()[-1]
+
+
+def test_verify_reports_failing_check(capsys, monkeypatch):
+    """A broken identity fails its own check, at its first length only."""
+    monkeypatch.setattr("invq.recurrence.product_formula",
+                        lambda n: MultiPoly.zero())
+    code, out, _ = run(capsys, "verify", "recurrence", "3", "--format", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["result"]["ok"] is False
+    failed = [c for c in payload["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["recurrence.product_formula"]
+    assert failed[0]["detail"].startswith("fails at n = 1; ")
+    assert len(payload["checks"]) == 5
 
 
 def test_verify_usage(capsys):
@@ -164,6 +181,16 @@ def test_sequence_bounds(capsys):
     assert run(capsys, "sequence", "catalan", "15")[0] == 2
     assert run(capsys, "sequence", "catalan", "14")[0] == 0
     capsys.readouterr()
+
+
+def test_sequence_table_matches_vendored_prefixes(capsys):
+    assert tuple(SEQUENCES) == oeis.STAT_NAMES
+    for stat, (bound, _) in SEQUENCES.items():
+        prefix = oeis.expected_values(stat)
+        m = min(bound, len(prefix))
+        code, out, _ = run(capsys, "sequence", stat, str(m), "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"]["values"] == prefix[:m], stat
 
 
 # -------------------------------------------------------------- lnk/expand
@@ -230,6 +257,10 @@ GOLDEN_SHA256 = {
         "96ef12fd0f105f5ae4d92a3357fd3d1779e31855f4e90fa36208d9f3cf67e917",
     "freq 3,2,1,1,0,0,0 --format json":
         "da035f604194feeb1f75272dbd8a39b251b179ea9acfcf184a0ad2040d268546",
+    "verify all 4 --format csv":
+        "fb974f20263a0633070821c4bad9d9d5d7c6c08c07463d57fa89f662050133d3",
+    "verify identities 6 --trunc 3 --format json":
+        "5ba3fe0d7218063b8d36bc4c6dfecad04cacf271bf68a85540a0ec14befa2889",
 }
 
 

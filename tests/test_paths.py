@@ -23,7 +23,6 @@ from invq.paths import (
     reverse_swap,
     sequence_from_path,
     sign_reversing_involution,
-    to_dyck_word,
     valley_distribution,
     validate_path,
     weakly_increasing_sequences,
@@ -76,12 +75,6 @@ def test_validate_path_rejects():
         with pytest.raises(ValueError):
             validate_path(bad)
     assert validate_path("EN") == "EN"
-
-
-def test_to_dyck_word():
-    assert to_dyck_word("ENEENENN") == "UDUUDUDD"
-    with pytest.raises(ValueError):
-        to_dyck_word("NE")
 
 
 def test_non_monotone_sequence_rejected():

@@ -16,6 +16,7 @@ def test_each_suite_passes(suite):
     assert results
     for r in results:
         assert r.passed, f"{suite}:{r.name}: {r.detail}"
+        assert r.name.startswith(f"{suite}.")
         assert r.seconds >= 0
         assert r.name and r.detail
 
