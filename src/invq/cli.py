@@ -77,13 +77,6 @@ def _parse_counts(text: str) -> tuple[int, ...]:
         raise UsageError("counts must be comma-separated integers") from None
 
 
-def _poly_text(poly: MultiPoly) -> str:
-    # q-only values print in the compact table style (no stars)
-    if poly.support_variables() <= {"q"}:
-        return str(poly.as_qlaurent())
-    return str(poly)
-
-
 def _emit(args, payload: dict, plain_lines: list[str],
           csv_rows: list[list]) -> int:
     if args.format == "json":
@@ -105,6 +98,24 @@ def _effective_nmax(args, default: int) -> int:
 
 
 # ----------------------------------------------------------------- fpoly
+
+def _emit_poly(args, command: str, params: dict, poly: MultiPoly) -> int:
+    # q-only values print in the compact table style (no stars)
+    if poly.support_variables() <= {"q"}:
+        text = str(poly.as_qlaurent())
+    else:
+        text = str(poly)
+    terms = poly.to_json_terms()
+    payload = {
+        "command": command,
+        "params": params,
+        "result": {"text": text, "terms": terms},
+        "checks": [],
+    }
+    header = ["coeff", "ex", "ey", "ez", "ep", "eq"]
+    csv_rows = [header] + [[t[k] for k in header] for t in terms]
+    return _emit(args, payload, [text], csv_rows)
+
 
 def cmd_fpoly(args) -> int:
     n = args.n
@@ -136,17 +147,7 @@ def cmd_fpoly(args) -> int:
     poly = recurrence.joint_poly(n)
     if bindings:
         poly = poly.eval_partial(bindings)
-    text = _poly_text(poly)
-    payload = {
-        "command": "fpoly",
-        "params": {"n": n, "bind": bindings},
-        "result": {"text": text, "terms": poly.to_json_terms()},
-        "checks": [],
-    }
-    csv_rows = [["coeff", "ex", "ey", "ez", "ep", "eq"]] + [
-        [t["coeff"], t["ex"], t["ey"], t["ez"], t["ep"], t["eq"]]
-        for t in poly.to_json_terms()]
-    return _emit(args, payload, [text], csv_rows)
+    return _emit_poly(args, "fpoly", {"n": n, "bind": bindings}, poly)
 
 
 # ----------------------------------------------------------------- verify
@@ -260,17 +261,8 @@ def cmd_freq(args) -> int:
         poly = fixed_freq_poly(counts)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    mp = poly.to_multipoly()
-    payload = {
-        "command": "freq",
-        "params": {"counts": list(counts)},
-        "result": {"text": str(poly), "terms": mp.to_json_terms()},
-        "checks": [],
-    }
-    csv_rows = [["coeff", "ex", "ey", "ez", "ep", "eq"]] + [
-        [t["coeff"], t["ex"], t["ey"], t["ez"], t["ep"], t["eq"]]
-        for t in mp.to_json_terms()]
-    return _emit(args, payload, [str(poly)], csv_rows)
+    return _emit_poly(args, "freq", {"counts": list(counts)},
+                      poly.to_multipoly())
 
 
 # ------------------------------------------------------------------ parser

@@ -8,10 +8,11 @@ truncation degree.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import permutations as _permutations
 from typing import Iterator
 
-from .polyring import ExpVec, MultiPoly, QLaurent
+from .polyring import MultiPoly, QLaurent
 from .qcalc import q_factorial, q_int, q_pochhammer_x
 from .qstirling import stirling2_q, stirling2_q_milne
 
@@ -38,11 +39,8 @@ def major_index(sigma: tuple[int, ...]) -> int:
 
 def euler_mahonian_poly(n: int) -> MultiPoly:
     """sum over S_n of x^descents q^major, by enumeration."""
-    acc: dict[ExpVec, int] = {}
-    for sigma in permutations(n):
-        key = (descent_count(sigma), 0, 0, 0, major_index(sigma))
-        acc[key] = acc.get(key, 0) + 1
-    return MultiPoly._raw(acc)
+    return MultiPoly(Counter((descent_count(sigma), 0, 0, 0, major_index(sigma))
+                             for sigma in permutations(n)))
 
 
 def eulerian_row(n: int) -> list[int]:

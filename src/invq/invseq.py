@@ -17,9 +17,10 @@ x^noz y^tel z^uel p^sum q^inv to each sequence.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterable, Iterator, NamedTuple
 
-from .polyring import ExpVec, MultiPoly, QLaurent
+from .polyring import MultiPoly, QLaurent
 from .qcalc import q_binomial
 
 InvSeq = tuple[int, ...]
@@ -52,29 +53,17 @@ def validate(e: Iterable[int]) -> InvSeq:
     return e
 
 
-def inversion_sequences(n: int, *, last_entry: int | None = None,
-                        allow_large: bool = False) -> Iterator[InvSeq]:
-    """Yield all of I_n in lexicographic order.
-
-    `last_entry` restricts to sequences with the given final entry, which
-    partitions I_n into n independent slices (handy for splitting sweeps).
-    Lengths above MAX_ENUM_LENGTH need allow_large=True.
-    """
+def inversion_sequences(n: int) -> Iterator[InvSeq]:
+    """Yield all of I_n in lexicographic order, for n up to MAX_ENUM_LENGTH."""
     if n < 1:
         raise ValueError("length must be >= 1")
-    if n > MAX_ENUM_LENGTH and not allow_large:
-        raise ValueError(f"length {n} above enumeration bound {MAX_ENUM_LENGTH}; "
-                         "pass allow_large=True to override")
-    if last_entry is not None and not 0 <= last_entry < n:
-        raise ValueError("last entry out of range")
+    if n > MAX_ENUM_LENGTH:
+        raise ValueError(f"length {n} above enumeration bound {MAX_ENUM_LENGTH}")
 
     e = [0] * n
-    if last_entry is not None:
-        e[n - 1] = last_entry
-    top = n - 2 if last_entry is not None else n - 1
     while True:
         yield tuple(e)
-        i = top
+        i = n - 1
         while i > 0 and e[i] == i:
             e[i] = 0
             i -= 1
@@ -125,12 +114,8 @@ def brute_joint_poly(n: int) -> MultiPoly:
     """Sum of x^noz y^tel z^uel p^sum q^inv over all of I_n, by enumeration."""
     if n < 1 or n > MAX_BRUTE_LENGTH:
         raise ValueError(f"length must be in 1..{MAX_BRUTE_LENGTH}")
-    acc: dict[ExpVec, int] = {}
-    for e in inversion_sequences(n):
-        s = sequence_stats(e)
-        key = (s.noz, s.tel, s.uel, s.sum, s.inv)
-        acc[key] = acc.get(key, 0) + 1
-    return MultiPoly._raw(acc)
+    return MultiPoly(Counter((s.noz, s.tel, s.uel, s.sum, s.inv)
+                             for s in map(sequence_stats, inversion_sequences(n))))
 
 
 def _validate_counts(counts: Iterable[int]) -> tuple[int, ...]:
@@ -176,12 +161,8 @@ def brute_fixed_freq(counts: Iterable[int]) -> QLaurent:
     n = len(v)
     if n > 9:
         raise ValueError("brute-force bound is length 9")
-    acc: dict[int, int] = {}
-    for e in inversion_sequences(n):
-        if occurrence_counts(e) == v:
-            i = sequence_stats(e).inv
-            acc[i] = acc.get(i, 0) + 1
-    return QLaurent(acc)
+    return QLaurent(Counter(sequence_stats(e).inv for e in inversion_sequences(n)
+                            if occurrence_counts(e) == v))
 
 
 def frequency_vectors(n: int) -> Iterator[tuple[int, ...]]:

@@ -293,9 +293,5 @@ def peak_height_poly(n: int):
     """
     from .polyring import MultiPoly
 
-    acc: dict[tuple[int, int, int, int, int], int] = {}
-    for e in weakly_increasing_sequences(n):
-        s = sequence_stats(e)
-        key = (s.noz, 0, s.uel + 1, 0, 0)
-        acc[key] = acc.get(key, 0) + 1
-    return MultiPoly._raw(acc)
+    return MultiPoly(Counter((s.noz, 0, s.uel + 1, 0, 0) for s in
+                             map(sequence_stats, weakly_increasing_sequences(n))))

@@ -10,9 +10,14 @@ negative exponents, which the q -> 1/q substitutions of the Stirling-family
 relations need as an intermediate step.
 
 Both derive from TermMap, the sparse key -> nonzero coefficient map that
-also carries qoperator.SymExpr; it owns zero elision, addition, negation,
+also carries qoperator.SymExpr; it owns construction, addition, negation,
 subtraction, powers and structural equality.  Each subclass keeps its own
-key validation, multiplication, substitutions and rendering.
+key normalizer, multiplication, substitutions and rendering.
+
+Every operation that builds a term map follows one rule: sum each
+coefficient into a plain dict with `out[key] = out.get(key, 0) + c`, then
+hand the dict to `TermMap._summed`, which deletes the zero entries once, in
+place, and wraps the dict without copying it.
 
 All three types are immutable: every operation returns a fresh value, so
 instances can be shared freely across threads.
@@ -26,13 +31,6 @@ VARIABLES = ("x", "y", "z", "p", "q")
 
 # exponent vector, one slot per entry of VARIABLES
 ExpVec = tuple[int, int, int, int, int]
-
-
-def _term_order(item):
-    # canonical order: total degree descending, then exponent vector
-    # descending lexicographically (x-heavy terms first)
-    key = item[0]
-    return (-sum(key), tuple(-e for e in key))
 
 
 def _format_monomial(key: ExpVec) -> str:
@@ -58,13 +56,22 @@ class TermMap:
 
     The map is normalized: zero coefficients are never stored and zero is
     the empty map, so structural equality of term maps is equality of
-    values.  A subclass with a constant term names its key in `_UNIT`;
-    `one`, `constant` and int operands are available only there.
+    values.  Each subclass names its key normalizer `_key`, which checks
+    and canonicalizes one key of outside input.  A subclass with a
+    constant term names its key in `_UNIT`; `one`, `constant` and int
+    operands are available only there.
     """
 
     __slots__ = ("_terms",)
 
     _UNIT = None
+
+    def __init__(self, terms: Mapping | None = None):
+        out: dict = {}
+        for key, coeff in (terms or {}).items():
+            key = self._key(key)
+            out[key] = out.get(key, 0) + coeff
+        self._terms = self._summed(out)._terms
 
     @classmethod
     def _raw(cls, terms: dict):
@@ -72,6 +79,14 @@ class TermMap:
         val = object.__new__(cls)
         val._terms = terms
         return val
+
+    @classmethod
+    def _summed(cls, terms: dict):
+        """The value of a dict of summed coefficients: its zero entries are
+        deleted in place (no second dict), then ownership transfers."""
+        for key in [k for k, c in terms.items() if not c]:
+            del terms[key]
+        return cls._raw(terms)
 
     @classmethod
     def zero(cls):
@@ -85,7 +100,7 @@ class TermMap:
     def constant(cls, c: int):
         if cls._UNIT is None:
             raise TypeError(f"{cls.__name__} has no constant term")
-        return cls._raw({cls._UNIT: c} if c else {})
+        return cls._summed({cls._UNIT: c})
 
     def items(self) -> Iterator:
         """Iterate (key, coefficient) pairs, unordered."""
@@ -116,12 +131,8 @@ class TermMap:
             # a fresh sum even for keys new to `out`: storing `coeff` itself
             # shares coefficients with the operand, which keeps the memory of
             # freed temporaries alive (higher peak RSS in the recurrence)
-            c = out.get(key, 0) + coeff
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-        return self._raw(out)
+            out[key] = out.get(key, 0) + coeff
+        return self._summed(out)
 
     def __neg__(self):
         return self._raw({k: -c for k, c in self._terms.items()})
@@ -173,18 +184,12 @@ class MultiPoly(TermMap):
 
     _UNIT: ExpVec = (0, 0, 0, 0, 0)
 
-    def __init__(self, terms: Mapping[ExpVec, int] | None = None):
-        data: dict[ExpVec, int] = {}
-        if terms:
-            for key, coeff in terms.items():
-                key = tuple(key)
-                if len(key) != 5 or any(e < 0 for e in key):
-                    raise ValueError(f"bad exponent vector {key!r}")
-                if coeff:
-                    data[key] = data.get(key, 0) + coeff
-                    if not data[key]:
-                        del data[key]
-        self._terms = data
+    @staticmethod
+    def _key(key: Iterable[int]) -> ExpVec:
+        key = tuple(key)
+        if len(key) != 5 or not all(isinstance(e, int) and e >= 0 for e in key):
+            raise ValueError(f"bad exponent vector {key!r}")
+        return key
 
     # ---------------------------------------------------------------- build
 
@@ -198,14 +203,16 @@ class MultiPoly(TermMap):
     @classmethod
     def monomial(cls, coeff: int, ex: int = 0, ey: int = 0, ez: int = 0,
                  ep: int = 0, eq: int = 0) -> "MultiPoly":
-        if min(ex, ey, ez, ep, eq) < 0:
-            raise ValueError("negative exponent")
-        return cls._raw({(ex, ey, ez, ep, eq): coeff} if coeff else {})
+        return cls._summed({cls._key((ex, ey, ez, ep, eq)): coeff})
 
     # ------------------------------------------------------------ accessors
 
     def sorted_items(self) -> list[tuple[ExpVec, int]]:
-        return sorted(self._terms.items(), key=_term_order)
+        # canonical order: total degree descending, then exponent vector
+        # descending lexicographically (x-heavy terms first); keys are
+        # unique, so the reversed sort has no ties to reorder
+        return sorted(self._terms.items(),
+                      key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def coefficient(self, key: Iterable[int]) -> int:
         return self._terms.get(tuple(key), 0)
@@ -249,12 +256,8 @@ class MultiPoly(TermMap):
             ax, ay, az, ap, aq = ka
             for kb, cb in b.items():
                 key = (ax + kb[0], ay + kb[1], az + kb[2], ap + kb[3], aq + kb[4])
-                c = get(key, 0) + ca * cb
-                if c:
-                    out[key] = c
-                elif key in out:
-                    del out[key]
-        return MultiPoly._raw(out)
+                out[key] = get(key, 0) + ca * cb
+        return MultiPoly._summed(out)
 
     __rmul__ = __mul__
 
@@ -281,15 +284,9 @@ class MultiPoly(TermMap):
                 if e:
                     c *= v ** e
                     newkey[i] = 0
-            if not c:
-                continue
             k = tuple(newkey)
-            nc = out.get(k, 0) + c
-            if nc:
-                out[k] = nc
-            elif k in out:
-                del out[k]
-        return MultiPoly._raw(out)
+            out[k] = out.get(k, 0) + c
+        return MultiPoly._summed(out)
 
     def scaled_shift(self, n: int) -> "MultiPoly":
         """Termwise x^a ... p^d  ->  x^(a+1) ... p^(d+n-a).
@@ -390,19 +387,15 @@ class QLaurent(TermMap):
 
     _UNIT = 0
 
-    def __init__(self, terms: Mapping[int, int] | None = None):
-        data: dict[int, int] = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    data[int(e)] = data.get(int(e), 0) + c
-                    if not data[int(e)]:
-                        del data[int(e)]
-        self._terms = data
+    @staticmethod
+    def _key(e: int) -> int:
+        if not isinstance(e, int):
+            raise ValueError(f"bad exponent {e!r}")
+        return e
 
     @classmethod
     def q_power(cls, e: int, coeff: int = 1) -> "QLaurent":
-        return cls._raw({int(e): coeff} if coeff else {})
+        return cls._summed({cls._key(e): coeff})
 
     # ------------------------------------------------------------ accessors
 
@@ -427,12 +420,8 @@ class QLaurent(TermMap):
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
                 e = ea + eb
-                c = out.get(e, 0) + ca * cb
-                if c:
-                    out[e] = c
-                elif e in out:
-                    del out[e]
-        return QLaurent._raw(out)
+                out[e] = out.get(e, 0) + ca * cb
+        return QLaurent._summed(out)
 
     __rmul__ = __mul__
 

@@ -72,12 +72,8 @@ def d_q(f: MultiPoly) -> MultiPoly:
             continue
         for i in range(ax):  # multiply by [ax]_q
             key = (ax - 1, ay, az, ap, aq + i)
-            c = out.get(key, 0) + coeff
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return MultiPoly._raw(out)
+            out[key] = out.get(key, 0) + coeff
+    return MultiPoly._summed(out)
 
 
 def t_q(f: MultiPoly) -> MultiPoly:
@@ -92,9 +88,5 @@ def t_q(f: MultiPoly) -> MultiPoly:
         for k in range(ax + 1):
             for qe, qc in q_binomial(ax, k).items():
                 key = (k, ay, az, ap, aq + qe)
-                c = out.get(key, 0) + coeff * qc
-                if c:
-                    out[key] = c
-                elif key in out:
-                    del out[key]
-    return MultiPoly._raw(out)
+                out[key] = out.get(key, 0) + coeff * qc
+    return MultiPoly._summed(out)

@@ -50,6 +50,10 @@ def _format_factor(f: Factor) -> str:
     return text
 
 
+def _as_qlaurent(coeff: QLaurent | int) -> QLaurent:
+    return coeff if isinstance(coeff, QLaurent) else QLaurent.constant(coeff)
+
+
 class SymExpr(TermMap):
     """Finite combination of words with QLaurent coefficients.
 
@@ -59,31 +63,22 @@ class SymExpr(TermMap):
 
     __slots__ = ()
 
-    def __init__(self, terms: dict[Word, QLaurent] | None = None):
-        data: dict[Word, QLaurent] = {}
-        if terms:
-            for word, coeff in terms.items():
-                if not isinstance(coeff, QLaurent):
-                    coeff = QLaurent.constant(coeff)
-                if coeff:
-                    data[tuple(word)] = coeff
-        self._terms = data
+    _key = staticmethod(tuple)
+
+    def __init__(self, terms: dict[Word, QLaurent | int] | None = None):
+        super().__init__({word: _as_qlaurent(coeff)
+                          for word, coeff in (terms or {}).items()})
 
     @classmethod
     def from_word(cls, word: Word, coeff: QLaurent | int = 1) -> "SymExpr":
-        if not isinstance(coeff, QLaurent):
-            coeff = QLaurent.constant(coeff)
-        return cls._raw({tuple(word): coeff} if coeff else {})
+        return cls._summed({tuple(word): _as_qlaurent(coeff)})
 
     def sorted_items(self) -> list[tuple[Word, QLaurent]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0])
 
     def scale(self, coeff: QLaurent | int) -> "SymExpr":
-        if not isinstance(coeff, QLaurent):
-            coeff = QLaurent.constant(coeff)
-        if not coeff:
-            return SymExpr.zero()
-        return SymExpr._raw({w: c * coeff for w, c in self._terms.items()})
+        coeff = _as_qlaurent(coeff)
+        return SymExpr._summed({w: c * coeff for w, c in self._terms.items()})
 
     def __str__(self):
         if not self._terms:
@@ -115,13 +110,8 @@ def dq_expr(expr: SymExpr) -> SymExpr:
     out: dict[Word, QLaurent] = {}
     for word, coeff in expr.items():
         for new, c in dq_word(word, coeff):
-            acc = out.get(new)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[new] = acc
-            elif new in out:
-                del out[new]
-    return SymExpr._raw(out)
+            out[new] = out.get(new, 0) + c
+    return SymExpr._summed(out)
 
 
 def times_g(expr: SymExpr) -> SymExpr:
@@ -170,12 +160,8 @@ def expansion_from_sequences(n: int) -> SymExpr:
             running += kj
         word.append(Factor("f", counts[0], running))
         word = tuple(word)
-        inv = sequence_stats(e).inv
-        acc = out.get(word)
-        add = QLaurent.q_power(inv)
-        acc = add if acc is None else acc + add
-        out[word] = acc
-    return SymExpr._raw(out)
+        out[word] = out.get(word, 0) + QLaurent.q_power(sequence_stats(e).inv)
+    return SymExpr._summed(out)
 
 
 # ----------------------------------------------------- Comtet-style coefficients
@@ -205,9 +191,7 @@ def comtet_coeff_explicit(n: int, k: int) -> SymExpr:
         if j == n:
             if running == target:
                 key = tuple(word)
-                acc = out.get(key)
-                acc = coeff if acc is None else acc + coeff
-                out[key] = acc
+                out[key] = out.get(key, 0) + coeff
             return
         for kj in range(min(j - running, target - running) + 1):
             factor = q_binomial(j - running, kj)
@@ -216,7 +200,7 @@ def comtet_coeff_explicit(n: int, k: int) -> SymExpr:
             word.pop()
 
     rec(1, 0, [g_factor()], QLaurent.one())
-    return SymExpr._raw(out)
+    return SymExpr._summed(out)
 
 
 def comtet_coeff_recurrence(n: int, k: int) -> SymExpr:

@@ -10,6 +10,7 @@ q -> 1/q substitution together with an explicit q-power prefactor.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -111,11 +112,8 @@ def stirling2_q_by_enumeration(n: int, k: int) -> QLaurent:
     """
     if n > 9:
         raise ValueError("brute-force bound is n <= 9")
-    acc: dict[int, int] = {}
-    for e in zero_marked_sequences(n, k):
-        i = augmented_inversions(e)
-        acc[i] = acc.get(i, 0) + 1
-    return QLaurent(acc)
+    return QLaurent(Counter(map(augmented_inversions,
+                                zero_marked_sequences(n, k))))
 
 
 # ------------------------------------------------------- family conversions

@@ -13,6 +13,8 @@ import math
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cache
+from operator import attrgetter
 from typing import Callable
 
 from . import identities, invseq, paths, qoperator, qstirling, recurrence
@@ -89,6 +91,16 @@ def run_recurrence(nmax: int, trunc: int | None = None) -> list[CheckResult]:
 
 def run_paths(nmax: int, trunc: int | None = None) -> list[CheckResult]:
     s = _Suite(nmax)
+
+    # one validated pass over lattice_paths(n) per n, shared by the
+    # triangle and peak-height checks
+    @cache
+    def dyck_counts(n: int) -> Counter:
+        return Counter(map(paths.dyck_stats, paths.lattice_paths(n)))
+
+    def tally(n: int, *stats: str) -> Counter:
+        return Counter(map(attrgetter(*stats), dyck_counts(n).elements()))
+
     s.check("paths.catalan_counts", 12,
             "weakly increasing count is Catalan, n <= {}",
             lambda n: sum(1 for _ in paths.weakly_increasing_sequences(n))
@@ -114,13 +126,13 @@ def run_paths(nmax: int, trunc: int | None = None) -> list[CheckResult]:
 
     def triangles(n):
         row = paths.returns_triangle_row(n)
-        brute = paths.returns_distribution(n)
+        brute = tally(n, "returns")
         zeros = Counter(e.count(0) for e in paths.weakly_increasing_sequences(n))
-        valleys = paths.valley_distribution(n)
+        valleys = tally(n, "valleys")
         return (row == [brute.get(k, 0) for k in range(1, n + 1)]
                 and row == [zeros.get(k, 0) for k in range(1, n + 1)]
                 and paths.narayana_row(n) == [valleys.get(k, 0) for k in range(n)]
-                and paths.first_peak_distribution(n) == brute)
+                and tally(n, "first_peak_height") == brute)
     s.check("paths.triangles", 10,
             "returns / zeros / Narayana / first-peak triangles, n <= {}",
             triangles)
@@ -129,8 +141,7 @@ def run_paths(nmax: int, trunc: int | None = None) -> list[CheckResult]:
         poly = paths.peak_height_poly(n)
         mirrored = MultiPoly({(k[2], k[1], k[0], k[3], k[4]): c
                               for k, c in poly.items()})
-        brute = Counter((st.first_peak_height, st.last_peak_height)
-                        for st in map(paths.dyck_stats, paths.lattice_paths(n)))
+        brute = tally(n, "first_peak_height", "last_peak_height")
         # the q = 0 tie reads F_n, so it stays within the recurrence's bound 8
         return (poly == mirrored
                 and poly == MultiPoly({(a, 0, b, 0, 0): c

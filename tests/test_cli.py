@@ -261,6 +261,16 @@ GOLDEN_SHA256 = {
         "fb974f20263a0633070821c4bad9d9d5d7c6c08c07463d57fa89f662050133d3",
     "verify identities 6 --trunc 3 --format json":
         "5ba3fe0d7218063b8d36bc4c6dfecad04cacf271bf68a85540a0ec14befa2889",
+    "fpoly 6":
+        "5b8881733c85fc89068074051dd71b0d7607ba7ed09de417b4002cacd6788883",
+    "fpoly 6 --format json":
+        "d603c271b0919db23a3d849300e886e3a779d19d746377d750b9af3aa59908b8",
+    "fpoly 6 --format csv":
+        "338d50ecd09e8e98c0114a96a714baa160abe4eacc696fce42336c07ece8c8f1",
+    "fpoly 6 --bind y=1,z=1 --format csv":
+        "d0293e22561cc91933675501bd612e1dae935bfc087a3453b6ef0f8af9ac8fd6",
+    "fpoly 5 --columns q=1,0,-1":
+        "524215916ff01e9470a0a9ce80fc0b6ba644b37a774fdfb3c33125a7f1cb73fc",
 }
 
 

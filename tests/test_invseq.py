@@ -42,24 +42,11 @@ def test_enumeration_order_n3():
     ]
 
 
-def test_last_entry_partitions():
-    full = list(inversion_sequences(5))
-    parts = [list(inversion_sequences(5, last_entry=v)) for v in range(5)]
-    assert sorted(sum(parts, [])) == sorted(full)
-    for v, part in enumerate(parts):
-        assert all(e[-1] == v for e in part)
-
-
 def test_enumeration_bounds():
     with pytest.raises(ValueError):
         list(inversion_sequences(0))
     with pytest.raises(ValueError):
         list(inversion_sequences(13))
-    # explicit opt-in raises the cap
-    gen = inversion_sequences(13, allow_large=True)
-    assert next(gen) == tuple([0] * 13)
-    with pytest.raises(ValueError):
-        list(inversion_sequences(5, last_entry=5))
 
 
 def test_validate():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invq.polyring import VARIABLES, MultiPoly, QLaurent
-from invq.qoperator import SymExpr, f_factor, g_factor
+from invq.qcalc import d_q, t_q
+from invq.qoperator import SymExpr, dq_expr, f_factor, g_factor
 
 X = MultiPoly.variable("x")
 Y = MultiPoly.variable("y")
@@ -18,6 +19,14 @@ def small_polys():
     keys = st.tuples(*(st.integers(min_value=0, max_value=3) for _ in range(5)))
     coeffs = st.integers(min_value=-9, max_value=9)
     return st.dictionaries(keys, coeffs, max_size=6).map(MultiPoly)
+
+
+def signed_polys():
+    # exponents 0..1 and coefficients of both signs: sums, products and
+    # substitutions of these often cancel terms to zero
+    keys = st.tuples(*(st.integers(min_value=0, max_value=1) for _ in range(5)))
+    coeffs = st.integers(min_value=-2, max_value=2)
+    return st.dictionaries(keys, coeffs, max_size=8).map(MultiPoly)
 
 
 def int_points():
@@ -66,6 +75,16 @@ def test_bad_keys_rejected():
         MultiPoly({(-1, 0, 0, 0, 0): 1})
     with pytest.raises(ValueError):
         MultiPoly.variable("w")
+    with pytest.raises(ValueError):
+        MultiPoly({(1.5, 0, 0, 0, 0): 1})
+    with pytest.raises(ValueError):
+        MultiPoly.monomial(1, ex=1.5)
+    with pytest.raises(ValueError):
+        QLaurent({1.5: 2})
+    with pytest.raises(ValueError):
+        QLaurent({"3": 1})
+    with pytest.raises(ValueError):
+        QLaurent.q_power(1.0)
 
 
 def test_arithmetic_basics():
@@ -175,6 +194,33 @@ def test_ring_axioms(a, b, c):
 def test_evaluation_is_a_homomorphism(a, b, point):
     assert eval_at(a + b, point) == eval_at(a, point) + eval_at(b, point)
     assert eval_at(a * b, point) == eval_at(a, point) * eval_at(b, point)
+
+
+def _stores_no_zero(value):
+    return all(c and (not isinstance(c, QLaurent) or _stores_no_zero(c))
+               for _, c in value.items())
+
+
+def _as_words(f):
+    # each term c x^a y^b z^d p^e q^k gives two words whose D_q images
+    # meet in the word g_{a+1}^(b) f_{d+1}^(e+1) with opposite coefficients
+    out = SymExpr.zero()
+    for (a, b, d, e, k), c in f.items():
+        out = out + SymExpr({
+            (g_factor(a, b), f_factor(d + 1, e)): QLaurent.q_power(k, c),
+            (g_factor(a + 1, b), f_factor(d, e + 1)):
+                QLaurent.q_power(k + b - e - 1, -c)})
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_polys(), signed_polys(), st.sampled_from(VARIABLES),
+       st.integers(min_value=-1, max_value=1))
+def test_results_store_no_zero(a, b, name, value):
+    results = [a + b, a - b, a + (b - a), a * b, (a - b) * (a + b),
+               a.eval_partial({name: value}), d_q(a - b), t_q(a - b),
+               dq_expr(_as_words(a - b))]
+    assert all(map(_stores_no_zero, results))
 
 
 # ----------------------------------------------------------------- laurent
