@@ -2,10 +2,10 @@
 
 The package tracks five statistics over the n! inversion sequences of
 length n (inversions, entry sum, zeros, repeated-value slack, untouched
-top values), computes their joint generating polynomial both by brute
-enumeration and by an exact length-extension recurrence, and connects the
-marginals to lattice paths, q-Stirling numbers, and the normal ordering
-of (g D_q)^n.  All arithmetic is exact over Python ints.
+top values), sums their joint generating polynomial over frequency
+classes, checks it by enumeration and the length-extension recurrence,
+and connects the marginals to lattice paths, q-Stirling numbers, and
+the normal ordering of (g D_q)^n.  All arithmetic is exact over Python ints.
 """
 
 from .invseq import (

@@ -12,14 +12,15 @@ Subcommands
 Every command is deterministic for a fixed invocation; json and csv output
 are byte-identical across runs (the plain verify report carries wall-clock
 timings as a human convenience, json/csv never do).  Exit status: 0 on
-success, 1 when a verification check fails, 2 on usage errors such as
-out-of-range lengths.
+success, 1 when a verification check fails or the reader closes the
+output pipe early, 2 on usage errors such as out-of-range lengths.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable
 
@@ -100,12 +101,11 @@ def _effective_nmax(args, default: int) -> int:
 # ----------------------------------------------------------------- fpoly
 
 def _emit_poly(args, command: str, params: dict, poly: MultiPoly) -> int:
-    # q-only values print in the compact table style (no stars)
-    if poly.support_variables() <= {"q"}:
-        text = str(poly.as_qlaurent())
-    else:
-        text = str(poly)
-    terms = poly.to_json_terms()
+    # render only what the format prints; q-only values print in the
+    # compact table style (no stars)
+    shown = poly.as_qlaurent() if poly.support_variables() <= {"q"} else poly
+    text = str(shown) if args.format != "csv" else None
+    terms = poly.to_json_terms() if args.format != "plain" else None
     payload = {
         "command": command,
         "params": params,
@@ -113,7 +113,7 @@ def _emit_poly(args, command: str, params: dict, poly: MultiPoly) -> int:
         "checks": [],
     }
     header = ["coeff", "ex", "ey", "ez", "ep", "eq"]
-    csv_rows = [header] + [[t[k] for k in header] for t in terms]
+    csv_rows = [header] + [[t[k] for k in header] for t in terms or ()]
     return _emit(args, payload, [text], csv_rows)
 
 
@@ -327,10 +327,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left early; devnull keeps the final flush from failing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

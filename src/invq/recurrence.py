@@ -1,25 +1,22 @@
-"""Length-extension recurrence for the joint statistic polynomials.
+"""The joint statistic polynomials F_n, summed over frequency classes.
 
-Appending a new entry to an inversion sequence of length n either repeats
-the fresh maximal value (the boundary term below) or lands on one of the
-existing admissible values; the latter case is captured exactly by the
-operator t_q together with the scaled shift x -> x/p, p-degree n.  The
-recurrence stays inside the polynomial ring at every step.
+The length-extension recurrence is kept as the oracle: appending a new
+entry to an inversion sequence of length n either repeats the fresh maximal
+value (the boundary term below) or lands on one of the existing admissible
+values; the latter case is captured exactly by the operator t_q together
+with the scaled shift x -> x/p, p-degree n.
 """
 
 from __future__ import annotations
 
-import threading
+from functools import cache
 
 from .polyring import MultiPoly
-from .qcalc import t_q
+from .qcalc import q_binomial, t_q
 
 _X = MultiPoly.variable("x")
 _Y = MultiPoly.variable("y")
 _Z = MultiPoly.variable("z")
-
-_table: list[MultiPoly] = [_X]  # joint polynomial for length 1 is x
-_lock = threading.Lock()
 
 
 def next_joint_poly(current: MultiPoly, n: int) -> MultiPoly:
@@ -30,19 +27,31 @@ def next_joint_poly(current: MultiPoly, n: int) -> MultiPoly:
     return boundary + ((_Y - 1) * current + t_q(current)).scaled_shift(n)
 
 
+@cache
 def joint_poly(n: int) -> MultiPoly:
     """Joint distribution polynomial of length n, memoized.
 
-    The memo table is guarded by a lock, so concurrent callers are safe;
-    entries themselves are immutable.
+    A sum over frequency classes, scanning values j = n-1 .. 1 with one
+    state per `above`, the entries placed above j.  Taking v >= 1 of the
+    m = n - j - above free slots gives qbinom(m, v) y^(v-1) p^(j v), the
+    factor `invseq.fixed_freq_poly` states; the first value taken gives
+    z^(n-1-j).  The zeros fill the n - above slots left.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    with _lock:
-        while len(_table) < n:
-            m = len(_table)
-            _table.append(next_joint_poly(_table[-1], m))
-        return _table[n - 1]
+    states = {0: MultiPoly.one()}  # above -> polynomial in y, z, p, q
+    for j in range(n - 1, 0, -1):
+        nxt = dict(states)  # taking none of value j
+        for above, poly in states.items():
+            m = n - j - above
+            for v in range(1, m + 1):
+                factor = q_binomial(m, v).to_multipoly() * MultiPoly.monomial(
+                    1, ey=v - 1, ez=0 if above else n - 1 - j, ep=j * v)
+                nxt[above + v] = poly * factor + nxt.get(above + v, 0)
+        states = nxt
+    return sum((poly * MultiPoly.monomial(1, ex=n - above, ey=n - above - 1,
+                                          ez=0 if above else n - 1)
+                for above, poly in states.items()), MultiPoly.zero())
 
 
 def inv_poly(n: int):

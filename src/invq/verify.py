@@ -13,7 +13,7 @@ import math
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from operator import attrgetter
 from typing import Callable
 
@@ -54,9 +54,12 @@ class _Suite:
 
 def run_recurrence(nmax: int, trunc: int | None = None) -> list[CheckResult]:
     s = _Suite(nmax)
+    # both F_n routes: the class sum and the t_q chain from F_1 = x
     s.check("recurrence.matches_enumeration", 8,
             "recurrence vs enumeration, n <= {}",
-            lambda n: recurrence.joint_poly(n) == invseq.brute_joint_poly(n))
+            lambda n: recurrence.joint_poly(n) == invseq.brute_joint_poly(n)
+            == reduce(recurrence.next_joint_poly, range(1, n),
+                      MultiPoly.variable("x")))
 
     def product(n):
         marg = recurrence.joint_poly(n).eval_partial({"y": 1, "z": 1, "q": 1})

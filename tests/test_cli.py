@@ -350,3 +350,20 @@ def test_perfbench_tracer_installs():
         [sys.executable, "-c", "import tracer; tracer.install(tracer.Tracer())"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_closed_pipe_exits_quietly():
+    """A reader that leaves early gets exit 1 and no traceback.
+
+    `fpoly 10` prints about 728 KB, far more than a pipe buffer holds,
+    so the write after the reader closes must fail.
+    """
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "invq.cli", "fpoly", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_importing())
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

@@ -1,4 +1,4 @@
-"""Length-extension recurrence for the five-variable joint polynomial."""
+"""Class sum and length-extension recurrence for the joint polynomial."""
 
 import math
 
@@ -44,6 +44,17 @@ def test_golden_strings(golden_polys):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_recurrence_matches_enumeration(n):
     assert joint_poly(n) == brute_joint_poly(n)
+
+
+def test_class_sum_matches_recurrence_chain():
+    # one t_q pass from F_1 = x; n = 13 is pinned by the term hash in
+    # the digest of perfbench's joint13 output
+    chain = MultiPoly.variable("x")
+    for n in range(1, 13):
+        if n > 1:
+            chain = next_joint_poly(chain, n - 1)
+        assert joint_poly(n) == chain
+        assert sum(c for _, c in chain.items()) == math.factorial(n)
 
 
 def test_memo_is_consistent():
