@@ -69,33 +69,27 @@ def _q_falling_product(k: int, j: int) -> QLaurent:
 
 # ----------------------------------------------------------------- checks
 
-def check_stirling_euler(n: int) -> bool:
-    """sum_j stirling2_q(n, j) x^j (x; q)_{n-j} [j]_q!  ==  x * EulerMahonian_n."""
+def _check_x_euler_mahonian(n: int, stirling, first_power) -> bool:
+    # sum_j stirling(n, j) x^j (x q^first_power(j); q)_{n-j} [j]_q!
+    # == x * EulerMahonian_n
     if not 1 <= n <= 8:
         raise ValueError("supported for 1 <= n <= 8")
-    lhs = MultiPoly.zero()
-    for j in range(1, n + 1):
-        factor = (stirling2_q(n, j) * q_factorial(j)).to_multipoly()
-        lhs = lhs + (factor
-                     * MultiPoly.monomial(1, ex=j)
-                     * q_pochhammer_x(n - j))
-    rhs = MultiPoly.variable("x") * euler_mahonian_poly(n)
-    return lhs == rhs
+    lhs = MultiPoly.sum((stirling(n, j) * q_factorial(j)).to_multipoly()
+                        * MultiPoly.monomial(1, ex=j)
+                        * q_pochhammer_x(n - j, first_power=first_power(j))
+                        for j in range(1, n + 1))
+    return lhs == MultiPoly.variable("x") * euler_mahonian_poly(n)
+
+
+def check_stirling_euler(n: int) -> bool:
+    """sum_j stirling2_q(n, j) x^j (x; q)_{n-j} [j]_q!  ==  x * EulerMahonian_n."""
+    return _check_x_euler_mahonian(n, stirling2_q, lambda j: 0)
 
 
 def check_garsia(n: int) -> bool:
     """Milne flavor: sum_j milne(n, j) x^j (x q^(j+1); q)_{n-j} [j]_q!
     equals x * EulerMahonian_n."""
-    if not 1 <= n <= 8:
-        raise ValueError("supported for 1 <= n <= 8")
-    lhs = MultiPoly.zero()
-    for j in range(1, n + 1):
-        factor = (stirling2_q_milne(n, j) * q_factorial(j)).to_multipoly()
-        lhs = lhs + (factor
-                     * MultiPoly.monomial(1, ex=j)
-                     * q_pochhammer_x(n - j, first_power=j + 1))
-    rhs = MultiPoly.variable("x") * euler_mahonian_poly(n)
-    return lhs == rhs
+    return _check_x_euler_mahonian(n, stirling2_q_milne, lambda j: j + 1)
 
 
 def check_qpower(n: int, kmax: int) -> bool:
@@ -103,18 +97,11 @@ def check_qpower(n: int, kmax: int) -> bool:
     [k]_q^n == sum_j stirling2_q(n, j) [k]_q ... [k-j+1]_q q^((n-j)(k-j))."""
     if n < 1 or kmax < 1:
         raise ValueError("needs n >= 1 and kmax >= 1")
-    for k in range(1, kmax + 1):
-        lhs = q_int(k) ** n
-        rhs = QLaurent.zero()
-        for j in range(1, n + 1):
-            term = _q_falling_product(k, j)
-            if term.is_zero():
-                continue
-            rhs = rhs + (stirling2_q(n, j) * term).times_q_power(
-                (n - j) * (k - j))
-        if lhs != rhs:
-            return False
-    return True
+    return all(q_int(k) ** n == QLaurent.sum(
+                   (stirling2_q(n, j) * _q_falling_product(k, j)).times_q_power(
+                       (n - j) * (k - j))
+                   for j in range(1, min(n, k) + 1))
+               for k in range(1, kmax + 1))
 
 
 def _geometric_inverse_pochhammer(n: int, trunc: int) -> MultiPoly:
@@ -135,10 +122,9 @@ def check_carlitz(n: int, trunc: int, euler_poly: MultiPoly | None = None) -> bo
     """
     if trunc < n + 2:
         raise ValueError("truncation must be at least n + 2")
-    series = MultiPoly.zero()
-    for ell in range(trunc + 1):
-        series = series + ((q_int(ell + 1) ** n).to_multipoly()
-                           * MultiPoly.monomial(1, ex=ell))
+    series = MultiPoly.sum((q_int(ell + 1) ** n).to_multipoly()
+                           * MultiPoly.monomial(1, ex=ell)
+                           for ell in range(trunc + 1))
     lhs = (q_pochhammer_x(n + 1) * series).truncate("x", trunc - n - 1)
     if euler_poly is None:
         euler_poly = euler_mahonian_poly(n)
@@ -151,10 +137,9 @@ def check_eu_ma_operator(n: int, trunc: int) -> bool:
     (inverse expanded geometrically) up to x-degree trunc - n."""
     if trunc < n + 2:
         raise ValueError("truncation must be at least n + 2")
-    lhs = MultiPoly.zero()
-    for ell in range(trunc + 1):
-        lhs = lhs + ((q_int(ell) ** n).to_multipoly()
-                     * MultiPoly.monomial(1, ex=ell))
+    lhs = MultiPoly.sum((q_int(ell) ** n).to_multipoly()
+                        * MultiPoly.monomial(1, ex=ell)
+                        for ell in range(trunc + 1))
     rhs = (MultiPoly.variable("x")
            * euler_mahonian_poly(n)
            * _geometric_inverse_pochhammer(n, trunc)).truncate("x", trunc)

@@ -8,20 +8,17 @@ Triangles are stored row by row starting at the row for length 1.
 from __future__ import annotations
 
 import json
+from functools import cache
 from importlib import resources
 
 STAT_NAMES = ("catalan", "narayana", "returns", "a114503", "a056151",
               "involutions", "eulerian")
 
-_cache: dict | None = None
 
-
+@cache
 def _load() -> dict:
-    global _cache
-    if _cache is None:
-        text = (resources.files("invq") / "data" / "oeis_prefixes.json").read_text()
-        _cache = json.loads(text)
-    return _cache
+    text = (resources.files("invq") / "data" / "oeis_prefixes.json").read_text()
+    return json.loads(text)
 
 
 def expected_entry(name: str) -> dict:

@@ -19,7 +19,8 @@ import math
 from collections import Counter
 from typing import Iterator, NamedTuple
 
-from .invseq import InvSeq, sequence_stats, validate
+from .invseq import InvSeq, inversion_sequences, sequence_stats, validate
+from .polyring import MultiPoly
 
 LatticePath = str
 
@@ -200,8 +201,6 @@ def sign_reversing_involution(e: InvSeq) -> InvSeq:
 
 def involution_fixed_points(n: int) -> list[InvSeq]:
     """Fixed points of the scan over I_n (lexicographic)."""
-    from .invseq import inversion_sequences
-
     return [e for e in inversion_sequences(n)
             if sign_reversing_involution(e) == e]
 
@@ -284,14 +283,12 @@ def peak_sum_row(n: int) -> list[int]:
     return [dist.get(s, 0) for s in range(2, 2 * n + 1)]
 
 
-def peak_height_poly(n: int):
+def peak_height_poly(n: int) -> MultiPoly:
     """sum over paths of x^(first peak height) * z^(last peak height).
 
     Computed over weakly increasing sequences: noz gives the first peak
     height and uel + 1 the last, so this is z * (q = 0 slice of the joint
     polynomial at y = p = 1).  Symmetric in x and z via reverse_swap.
     """
-    from .polyring import MultiPoly
-
     return MultiPoly(Counter((s.noz, 0, s.uel + 1, 0, 0) for s in
                              map(sequence_stats, weakly_increasing_sequences(n))))

@@ -17,7 +17,10 @@ key normalizer, multiplication, substitutions and rendering.
 Every operation that builds a term map follows one rule: sum each
 coefficient into a plain dict with `out[key] = out.get(key, 0) + c`, then
 hand the dict to `TermMap._summed`, which deletes the zero entries once, in
-place, and wraps the dict without copying it.
+place, and wraps the dict without copying it.  Adding term maps is one
+instance of the rule: `TermMap.sum(values)` reads each operand once into
+one dict, and `a + b` is its two-operand case, so a sum of many term maps
+never copies a growing accumulator.
 
 All three types are immutable: every operation returns a fresh value, so
 instances can be shared freely across threads.
@@ -25,7 +28,7 @@ instances can be shared freely across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, ItemsView, Mapping
 
 VARIABLES = ("x", "y", "z", "p", "q")
 
@@ -59,19 +62,27 @@ class TermMap:
     values.  Each subclass names its key normalizer `_key`, which checks
     and canonicalizes one key of outside input.  A subclass with a
     constant term names its key in `_UNIT`; `one`, `constant` and int
-    operands are available only there.
+    operands are available only there.  `_coeff` admits a coefficient of
+    outside input only if it is a `_COEFF` (int; QLaurent for SymExpr).
     """
 
     __slots__ = ("_terms",)
 
     _UNIT = None
+    _COEFF: type = int
 
     def __init__(self, terms: Mapping | None = None):
         out: dict = {}
         for key, coeff in (terms or {}).items():
             key = self._key(key)
-            out[key] = out.get(key, 0) + coeff
+            out[key] = out.get(key, 0) + self._coeff(coeff)
         self._terms = self._summed(out)._terms
+
+    @classmethod
+    def _coeff(cls, coeff):
+        if not isinstance(coeff, cls._COEFF):
+            raise ValueError(f"bad coefficient {coeff!r}")
+        return coeff
 
     @classmethod
     def _raw(cls, terms: dict):
@@ -100,11 +111,25 @@ class TermMap:
     def constant(cls, c: int):
         if cls._UNIT is None:
             raise TypeError(f"{cls.__name__} has no constant term")
-        return cls._summed({cls._UNIT: c})
+        return cls._summed({cls._UNIT: cls._coeff(c)})
 
-    def items(self) -> Iterator:
-        """Iterate (key, coefficient) pairs, unordered."""
-        return iter(self._terms.items())
+    @classmethod
+    def sum(cls, values: Iterable):
+        """The sum of term maps of this class, read once each into one dict."""
+        out: dict = {}
+        get = out.get
+        for value in values:
+            if not isinstance(value, cls):
+                raise TypeError(f"cannot sum {value!r} as {cls.__name__}")
+            for key, coeff in value._terms.items():
+                # a fresh sum even for keys new to `out`: sharing the operand's
+                # coefficients keeps freed temporaries alive (higher peak RSS)
+                out[key] = get(key, 0) + coeff
+        return cls._summed(out)
+
+    def items(self) -> ItemsView:
+        """The (key, coefficient) pairs, unordered, as a read-only view."""
+        return self._terms.items()
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -126,13 +151,7 @@ class TermMap:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            # a fresh sum even for keys new to `out`: storing `coeff` itself
-            # shares coefficients with the operand, which keeps the memory of
-            # freed temporaries alive (higher peak RSS in the recurrence)
-            out[key] = out.get(key, 0) + coeff
-        return self._summed(out)
+        return self.sum((self, other))
 
     def __neg__(self):
         return self._raw({k: -c for k, c in self._terms.items()})
@@ -203,7 +222,7 @@ class MultiPoly(TermMap):
     @classmethod
     def monomial(cls, coeff: int, ex: int = 0, ey: int = 0, ez: int = 0,
                  ep: int = 0, eq: int = 0) -> "MultiPoly":
-        return cls._summed({cls._key((ex, ey, ez, ep, eq)): coeff})
+        return cls._summed({cls._key((ex, ey, ez, ep, eq)): cls._coeff(coeff)})
 
     # ------------------------------------------------------------ accessors
 
@@ -267,14 +286,16 @@ class MultiPoly(TermMap):
         """Substitute integers for a subset of the variables.
 
         Unbound variables stay symbolic; binding everything yields a
-        constant polynomial.  Unknown variable names are an error.
+        constant polynomial.  Unknown names and non-int values are errors.
         """
-        for name in bindings:
+        for name, v in bindings.items():
             if name not in VARIABLES:
                 raise ValueError(f"unknown variable {name!r}")
+            if not isinstance(v, int):
+                raise ValueError(f"bad value {v!r} for {name}")
         if not bindings:
             return self
-        slots = [(VARIABLES.index(name), int(v)) for name, v in bindings.items()]
+        slots = [(VARIABLES.index(name), v) for name, v in bindings.items()]
         out: dict[ExpVec, int] = {}
         for key, coeff in self._terms.items():
             c = coeff
@@ -395,7 +416,7 @@ class QLaurent(TermMap):
 
     @classmethod
     def q_power(cls, e: int, coeff: int = 1) -> "QLaurent":
-        return cls._summed({cls._key(e): coeff})
+        return cls._summed({cls._key(e): cls._coeff(coeff)})
 
     # ------------------------------------------------------------ accessors
 
@@ -436,6 +457,8 @@ class QLaurent(TermMap):
 
     def evaluate(self, value: int) -> int:
         """Exact evaluation at an integer q; q=0 needs no negative exponents."""
+        if not isinstance(value, int):
+            raise ValueError(f"bad value {value!r} for q")
         total = 0
         for e, c in self._terms.items():
             if e < 0:

@@ -7,7 +7,7 @@ uses the binomial form of D_q^k / [k]_q! directly.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from .polyring import ExpVec, MultiPoly, QLaurent
 
@@ -23,7 +23,7 @@ def q_int(k: int) -> QLaurent:
     return QLaurent._raw({i: 1 for i in range(k)})
 
 
-@lru_cache(maxsize=None)
+@cache
 def q_factorial(k: int) -> QLaurent:
     """[k]_q! = [1]_q [2]_q ... [k]_q, with [0]_q! = 1."""
     if k < 0:
@@ -33,7 +33,7 @@ def q_factorial(k: int) -> QLaurent:
     return q_factorial(k - 1) * q_int(k)
 
 
-@lru_cache(maxsize=None)
+@cache
 def q_binomial(n: int, k: int) -> QLaurent:
     """Gaussian binomial coefficient as a q-polynomial.
 

@@ -64,6 +64,7 @@ class SymExpr(TermMap):
     __slots__ = ()
 
     _key = staticmethod(tuple)
+    _COEFF = QLaurent
 
     def __init__(self, terms: dict[Word, QLaurent | int] | None = None):
         super().__init__({word: _as_qlaurent(coeff)

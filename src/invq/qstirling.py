@@ -11,7 +11,7 @@ q -> 1/q substitution together with an explicit q-power prefactor.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import cache
 from typing import Iterable, Iterator
 
 from .invseq import InvSeq, inversion_sequences, validate
@@ -19,7 +19,7 @@ from .polyring import QLaurent
 from .qcalc import q_int
 
 
-@lru_cache(maxsize=None)
+@cache
 def stirling2_q(n: int, k: int) -> QLaurent:
     """q-Stirling number of the second kind (inversion flavor)."""
     if n < 0:
@@ -32,7 +32,7 @@ def stirling2_q(n: int, k: int) -> QLaurent:
             + q_int(k) * stirling2_q(n - 1, k))
 
 
-@lru_cache(maxsize=None)
+@cache
 def stirling2_q_milne(n: int, k: int) -> QLaurent:
     """Milne's variant: S(n+1, j) = [j] S(n, j) + q^(j-1) S(n, j-1),
     anchored at S(1, 1) = 1."""
@@ -46,7 +46,7 @@ def stirling2_q_milne(n: int, k: int) -> QLaurent:
             + stirling2_q_milne(n - 1, k - 1).times_q_power(k - 1))
 
 
-@lru_cache(maxsize=None)
+@cache
 def stirling2_q_star(n: int, k: int) -> QLaurent:
     """Leroux-Medicis variant: S(n+1, k) = [k] S(n, k) + S(n, k-1)."""
     if n < 0:

@@ -35,23 +35,28 @@ def joint_poly(n: int) -> MultiPoly:
     state per `above`, the entries placed above j.  Taking v >= 1 of the
     m = n - j - above free slots gives qbinom(m, v) y^(v-1) p^(j v), the
     factor `invseq.fixed_freq_poly` states; the first value taken gives
-    z^(n-1-j).  The zeros fill the n - above slots left.
+    z^(n-1-j).  Each new state `t` is one `MultiPoly.sum` over its sources
+    `above <= t`.  The zeros fill the n - above slots left.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    states = {0: MultiPoly.one()}  # above -> polynomial in y, z, p, q
+
+    def taken(poly, j, above, v):  # v of the free slots of `above` hold j
+        if not v:
+            return poly
+        m = n - j - above
+        return poly * (q_binomial(m, v).to_multipoly() * MultiPoly.monomial(
+            1, ey=v - 1, ez=0 if above else n - 1 - j, ep=j * v))
+
+    states = [MultiPoly.one()]  # states[above]: polynomial in y, z, p, q
     for j in range(n - 1, 0, -1):
-        nxt = dict(states)  # taking none of value j
-        for above, poly in states.items():
-            m = n - j - above
-            for v in range(1, m + 1):
-                factor = q_binomial(m, v).to_multipoly() * MultiPoly.monomial(
-                    1, ey=v - 1, ez=0 if above else n - 1 - j, ep=j * v)
-                nxt[above + v] = poly * factor + nxt.get(above + v, 0)
-        states = nxt
-    return sum((poly * MultiPoly.monomial(1, ex=n - above, ey=n - above - 1,
-                                          ez=0 if above else n - 1)
-                for above, poly in states.items()), MultiPoly.zero())
+        states = [MultiPoly.sum(taken(states[above], j, above, t - above)
+                                for above in range(min(t + 1, len(states))))
+                  for t in range(n - j + 1)]
+    return MultiPoly.sum(
+        poly * MultiPoly.monomial(1, ex=n - above, ey=n - above - 1,
+                                  ez=0 if above else n - 1)
+        for above, poly in enumerate(states))
 
 
 def inv_poly(n: int):
@@ -66,13 +71,10 @@ def product_formula(n: int) -> MultiPoly:
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    x = _X
-    p = MultiPoly.variable("p")
     result = MultiPoly.one()
-    geom = MultiPoly.zero()  # p + p^2 + ... + p^j, grown as j advances
     for j in range(n):
-        result = result * (x + geom)
-        geom = geom + p ** (j + 1)
+        result = result * (_X + MultiPoly._raw(
+            {(0, 0, 0, i, 0): 1 for i in range(1, j + 1)}))
     return result
 
 

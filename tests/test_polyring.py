@@ -56,6 +56,15 @@ def test_term_map_core(value, negate, foreign):
         foreign + value
     with pytest.raises(TypeError):
         hash(value)
+    cls = type(value)
+    assert cls.sum([]) == cls.zero()
+    assert cls.sum([value, negate(value)]).term_count() == 0
+    a, b, c = value, value + value, negate(value)
+    assert cls.sum([a, b, c]) == (a + b) + c
+    with pytest.raises(TypeError):
+        cls.sum([value, foreign])
+    items = value.items()
+    assert list(items) == list(items) and len(items) == value.term_count()
 
 
 # ------------------------------------------------------------ construction
@@ -85,6 +94,20 @@ def test_bad_keys_rejected():
         QLaurent({"3": 1})
     with pytest.raises(ValueError):
         QLaurent.q_power(1.0)
+    with pytest.raises(ValueError):
+        MultiPoly({(0, 0, 0, 0, 0): 1.5})
+    with pytest.raises(ValueError):
+        QLaurent({0: 0.5, 1: 2})
+    with pytest.raises(ValueError):
+        MultiPoly.monomial(2.5, ex=1)
+    with pytest.raises(ValueError):
+        MultiPoly.constant(1.5)
+    with pytest.raises(ValueError):
+        QLaurent.q_power(1, 0.5)
+    with pytest.raises(ValueError):
+        SymExpr({(g_factor(),): 1.5})
+    with pytest.raises(ValueError):
+        SymExpr({(g_factor(),): MultiPoly.one()})
 
 
 def test_arithmetic_basics():
@@ -128,6 +151,9 @@ def test_eval_partial_golden(golden_polys):
     assert eval_at(f3, (1, 1, 1, 1, 1)) == 6
     with pytest.raises(ValueError):
         f3.eval_partial({"w": 1})
+    for bad in (1.5, "2"):
+        with pytest.raises(ValueError, match="bad value"):
+            f3.eval_partial({"x": bad, "y": 1})
 
 
 def test_eval_partial_is_partial(golden_polys):
@@ -217,7 +243,8 @@ def _as_words(f):
 @given(signed_polys(), signed_polys(), st.sampled_from(VARIABLES),
        st.integers(min_value=-1, max_value=1))
 def test_results_store_no_zero(a, b, name, value):
-    results = [a + b, a - b, a + (b - a), a * b, (a - b) * (a + b),
+    results = [a + b, a - b, a + (b - a), MultiPoly.sum([a, b, -a]), a * b,
+               (a - b) * (a + b),
                a.eval_partial({name: value}), d_q(a - b), t_q(a - b),
                dq_expr(_as_words(a - b))]
     assert all(map(_stores_no_zero, results))
@@ -246,6 +273,8 @@ def test_qlaurent_inverse_and_shift():
     with pytest.raises(ValueError):
         g.evaluate(2)
     assert g.evaluate(1) == 3 and g.evaluate(-1) == 3
+    with pytest.raises(ValueError, match="bad value"):
+        f.evaluate(0.5)
 
 
 def test_qlaurent_multipoly_bridge():
