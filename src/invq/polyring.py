@@ -116,16 +116,19 @@ class TermMap:
     @classmethod
     def sum(cls, values: Iterable):
         """The sum of term maps of this class, read once each into one dict."""
-        out: dict = {}
-        get = out.get
+        out = get = None
         for value in values:
             if not isinstance(value, cls):
                 raise TypeError(f"cannot sum {value!r} as {cls.__name__}")
+            if out is None:
+                # the first operand is copied whole, sharing its coefficients;
+                # no hot path sums large temporaries, so that keeps none alive
+                out = dict(value._terms)
+                get = out.get
+                continue
             for key, coeff in value._terms.items():
-                # a fresh sum even for keys new to `out`: sharing the operand's
-                # coefficients keeps freed temporaries alive (higher peak RSS)
                 out[key] = get(key, 0) + coeff
-        return cls._summed(out)
+        return cls._summed({} if out is None else out)
 
     def items(self) -> ItemsView:
         """The (key, coefficient) pairs, unordered, as a read-only view."""

@@ -250,8 +250,7 @@ def substitute_g(expr: SymExpr, rule: GRule) -> MultiPoly:
     Words must be g-only (strip the terminal f first); coefficients must
     be genuine q-polynomials.
     """
-    total = MultiPoly.zero()
-    for word, coeff in expr.items():
+    def expanded(word, coeff):
         value = coeff.to_multipoly()
         for f in word:
             if f.kind != "g":
@@ -259,5 +258,5 @@ def substitute_g(expr: SymExpr, rule: GRule) -> MultiPoly:
             if value.is_zero():
                 break
             value = value * rule(f.deriv, f.shift)
-        total = total + value
-    return total
+        return value
+    return MultiPoly.sum(expanded(word, coeff) for word, coeff in expr.items())

@@ -9,9 +9,10 @@ with the scaled shift x -> x/p, p-degree n.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
-from .polyring import MultiPoly
+from .polyring import ExpVec, MultiPoly, QLaurent
 from .qcalc import q_binomial, t_q
 
 _X = MultiPoly.variable("x")
@@ -27,42 +28,84 @@ def next_joint_poly(current: MultiPoly, n: int) -> MultiPoly:
     return boundary + ((_Y - 1) * current + t_q(current)).scaled_shift(n)
 
 
+_State = dict[tuple[int, int, int], int]  # (ey, ez, ep) -> packed q-poly
+
+
+def _class_scan(n: int) -> tuple[int, list[_State]]:
+    """The slot width in bytes and the packed final states of the sum of
+    F_n over frequency classes, indexed by `above`.
+
+    Values j = n-1 .. 1 are scanned with one state per `above`, the entries
+    placed above j.  Taking v >= 1 of the m = n - j - above free slots
+    multiplies by qbinom(m, v) y^(v-1) p^(j v), the factor
+    `invseq.fixed_freq_poly` states; the first value taken gives
+    z^(n-1-j).  Taking v = 0 passes a state on unchanged, so each target is
+    built in place over its own state, largest `above` first.
+    """
+    if n < 1:
+        raise ValueError("length must be >= 1")
+    width = (math.factorial(n).bit_length() + 8) // 8  # see joint_poly
+    bits = 8 * width
+    packed: dict[tuple[int, int], int] = {}
+    states: list[_State] = [{(0, 0, 0): 1}]
+    for j in range(n - 1, 0, -1):
+        states.append({})
+        for t in range(n - j, 0, -1):
+            target = states[t]
+            get = target.get
+            for above in range(t):
+                v = t - above
+                m = n - j - above
+                b = packed.get((m, v))
+                if b is None:
+                    b = packed[m, v] = sum(
+                        c << (bits * e) for e, c in q_binomial(m, v).items())
+                dy, dz, dp = v - 1, 0 if above else n - 1 - j, j * v
+                for (ey, ez, ep), poly in states[above].items():
+                    key = (ey + dy, ez + dz, ep + dp)
+                    target[key] = get(key, 0) + poly * b
+    return width, states
+
+
+def _unpack(poly: int, width: int) -> list[int]:
+    """The q-coefficients of a packed q-polynomial, lowest power first."""
+    data = poly.to_bytes(-(-poly.bit_length() // (8 * width)) * width, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]
+
+
 @cache
 def joint_poly(n: int) -> MultiPoly:
     """Joint distribution polynomial of length n, memoized.
 
-    A sum over frequency classes, scanning values j = n-1 .. 1 with one
-    state per `above`, the entries placed above j.  Taking v >= 1 of the
-    m = n - j - above free slots gives qbinom(m, v) y^(v-1) p^(j v), the
-    factor `invseq.fixed_freq_poly` states; the first value taken gives
-    z^(n-1-j).  Each new state `t` is one `MultiPoly.sum` over its sources
-    `above <= t`.  The zeros fill the n - above slots left.
+    A sum over frequency classes (`_class_scan`) whose states pack each
+    q-polynomial into one int, coefficient of q^s in bytes
+    [s * width, (s + 1) * width), so that a step is one bigint multiply by
+    a packed q-binomial (Kronecker substitution).  A slot of bits(n!) + 1
+    bits, rounded up to whole bytes, never carries into the next: taking
+    v = 0 of a value passes a state on unchanged, so every coefficient of
+    every product and sum along the scan is a summand of a coefficient of
+    F_n, and those are nonnegative and sum to n!.  The zeros fill the
+    n - above slots left; each state unpacks straight into terms of F_n.
     """
-    if n < 1:
-        raise ValueError("length must be >= 1")
-
-    def taken(poly, j, above, v):  # v of the free slots of `above` hold j
-        if not v:
-            return poly
-        m = n - j - above
-        return poly * (q_binomial(m, v).to_multipoly() * MultiPoly.monomial(
-            1, ey=v - 1, ez=0 if above else n - 1 - j, ep=j * v))
-
-    states = [MultiPoly.one()]  # states[above]: polynomial in y, z, p, q
-    for j in range(n - 1, 0, -1):
-        states = [MultiPoly.sum(taken(states[above], j, above, t - above)
-                                for above in range(min(t + 1, len(states))))
-                  for t in range(n - j + 1)]
-    return MultiPoly.sum(
-        poly * MultiPoly.monomial(1, ex=n - above, ey=n - above - 1,
-                                  ez=0 if above else n - 1)
-        for above, poly in enumerate(states))
+    width, states = _class_scan(n)
+    out: dict[ExpVec, int] = {}
+    for above, state in enumerate(states):
+        ex, dy, dz = n - above, n - above - 1, 0 if above else n - 1
+        for (ey, ez, ep), poly in state.items():
+            for eq, c in enumerate(_unpack(poly, width)):
+                if c:
+                    out[ex, ey + dy, ez + dz, ep, eq] = c
+    return MultiPoly._raw(out)
 
 
-def inv_poly(n: int):
-    """Inversion-count marginal: everything but q bound to 1."""
-    return joint_poly(n).eval_partial(
-        {"x": 1, "y": 1, "z": 1, "p": 1}).as_qlaurent()
+def inv_poly(n: int) -> QLaurent:
+    """Inversion-count marginal: everything but q bound to 1, the sum of
+    every packed state of the class scan, unpacked once."""
+    width, states = _class_scan(n)
+    total = sum(sum(state.values()) for state in states)
+    return QLaurent._summed(dict(enumerate(_unpack(total, width))))
 
 
 def product_formula(n: int) -> MultiPoly:

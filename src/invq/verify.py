@@ -188,13 +188,11 @@ def run_freq(nmax: int, trunc: int | None = None) -> list[CheckResult]:
             key = invseq.occurrence_counts(e)
             groups[key] = groups[key] + QLaurent.q_power(
                 invseq.sequence_stats(e).inv)
-        total = QLaurent.zero()
-        for v in invseq.frequency_vectors(n):
-            prod = invseq.fixed_freq_poly(v)
-            if prod != groups.get(v, QLaurent.zero()):
-                return False
-            total = total + prod
-        return total == recurrence.inv_poly(n)
+        prods = {v: invseq.fixed_freq_poly(v)
+                 for v in invseq.frequency_vectors(n)}
+        return (all(prod == groups.get(v, QLaurent.zero())
+                    for v, prod in prods.items())
+                and QLaurent.sum(prods.values()) == recurrence.inv_poly(n))
     s.check("freq.product_vs_enumeration", 8,
             "product vs enumeration for every valid vector, n <= {}",
             classes_sum)

@@ -4,10 +4,8 @@ from invq.polyring import MultiPoly
 
 
 def _monomials(entries):
-    total = MultiPoly.zero()
-    for coeff, ex, ey, ez, ep, eq in entries:
-        total = total + MultiPoly.monomial(coeff, ex, ey, ez, ep, eq)
-    return total
+    # entries: (coeff, ex, ey, ez, ep, eq), the arguments of monomial
+    return MultiPoly.sum(MultiPoly.monomial(*entry) for entry in entries)
 
 
 @pytest.fixture(scope="session")

@@ -181,13 +181,13 @@ def test_criterion_06_fixed_frequency():
                 acc = observed.setdefault(occurrence_counts(e), {})
                 inv = sequence_stats(e).inv
                 acc[inv] = acc.get(inv, 0) + 1
-            total = QLaurent.zero()
+            products = []
             for v in frequency_vectors(n):
                 product = fixed_freq_poly(v)
                 assert product == QLaurent(observed.get(v, {})), v
-                total = total + product
+                products.append(product)
             # partitioning I_n: the classes must reassemble f_n(q)
-            assert total == inv_poly(n)
+            assert QLaurent.sum(products) == inv_poly(n)
             assert set(observed) <= set(frequency_vectors(n))
 
 

@@ -57,6 +57,17 @@ def test_class_sum_matches_recurrence_chain():
         assert sum(c for _, c in chain.items()) == math.factorial(n)
 
 
+def test_packing_bound():
+    # the class scan packs each q-coefficient into bits(n!) + 1 bits: every
+    # coefficient of F_n is positive and at most n!, and they sum to n!;
+    # n = 14 is one size past the term hash of joint13
+    for n in range(1, 15):
+        coeffs = [c for _, c in joint_poly(n).items()]
+        assert 0 < min(coeffs) and max(coeffs) <= math.factorial(n)
+        assert sum(coeffs) == math.factorial(n)
+    assert joint_poly(14).term_count() == 511_084
+
+
 def test_memo_is_consistent():
     # ask out of order; memoized prefix must not corrupt later rows
     a = joint_poly(5)
@@ -70,6 +81,13 @@ def test_memo_is_consistent():
 def test_inv_marginal_table(n, coeffs):
     top = len(coeffs) - 1
     assert inv_poly(n) == QLaurent({top - i: c for i, c in enumerate(coeffs)})
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_inv_poly_is_joint_poly_marginal(n):
+    # read off the packed class scan; the old definition is the oracle
+    assert inv_poly(n) == joint_poly(n).eval_partial(
+        {"x": 1, "y": 1, "z": 1, "p": 1}).as_qlaurent()
 
 
 def test_inv_marginal_evaluations():
