@@ -18,9 +18,9 @@ Every operation that builds a term map follows one rule: sum each
 coefficient into a plain dict with `out[key] = out.get(key, 0) + c`, then
 hand the dict to `TermMap._summed`, which deletes the zero entries once, in
 place, and wraps the dict without copying it.  Adding term maps is one
-instance of the rule: `TermMap.sum(values)` reads each operand once into
-one dict, and `a + b` is its two-operand case, so a sum of many term maps
-never copies a growing accumulator.
+instance of the rule: `TermMap.sum(values)` copies the first operand and
+reads each other once into that dict, and `a + b` is its two-operand case,
+so a sum of many term maps never copies a growing accumulator.
 
 All three types are immutable: every operation returns a fresh value, so
 instances can be shared freely across threads.

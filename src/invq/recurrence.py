@@ -39,8 +39,9 @@ def _class_scan(n: int) -> tuple[int, list[_State]]:
     placed above j.  Taking v >= 1 of the m = n - j - above free slots
     multiplies by qbinom(m, v) y^(v-1) p^(j v), the factor
     `invseq.fixed_freq_poly` states; the first value taken gives
-    z^(n-1-j).  Taking v = 0 passes a state on unchanged, so each target is
-    built in place over its own state, largest `above` first.
+    z^(n-1-j).  Taking v = 0 passes a state on unchanged, so each target t
+    is built in place over states[t], largest t first, while its sources
+    above < t are still unchanged.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
