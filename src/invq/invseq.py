@@ -48,7 +48,7 @@ def validate(e: Iterable[int]) -> InvSeq:
     if not e:
         raise ValueError("inversion sequence must be nonempty")
     for i, v in enumerate(e):
-        if not isinstance(v, int) or v < 0 or v > i:
+        if type(v) is not int or v < 0 or v > i:  # refuses bool too
             raise ValueError(f"entry e_{i}={v!r} violates 0 <= e_i <= i")
     return e
 
@@ -123,6 +123,8 @@ def _validate_counts(counts: Iterable[int]) -> tuple[int, ...]:
     n = len(v)
     if n < 1:
         raise ValueError("frequency vector must be nonempty")
+    if any(type(c) is not int for c in v):
+        raise ValueError("multiplicities must be ints")
     if any(c < 0 for c in v):
         raise ValueError("negative multiplicity")
     if sum(v) != n:

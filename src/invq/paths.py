@@ -36,21 +36,23 @@ class DyckStats(NamedTuple):
 # ------------------------------------------------------------- enumeration
 
 def weakly_increasing_sequences(n: int) -> Iterator[InvSeq]:
-    """The Catalan-many weakly increasing members of I_n, lexicographically."""
+    """The Catalan-many weakly increasing members of I_n, lexicographically.
+
+    The odometer of inversion_sequences with each digit reset to the one
+    before it instead of to 0, so only weakly increasing words are visited.
+    """
     if n < 1:
         raise ValueError("length must be >= 1")
 
-    def rec(prefix: list[int]) -> Iterator[InvSeq]:
-        i = len(prefix)
-        if i == n:
-            yield tuple(prefix)
+    e = [0] * n
+    while True:
+        yield tuple(e)
+        i = n - 1
+        while i > 0 and e[i] == i:
+            i -= 1
+        if i <= 0:
             return
-        for v in range(prefix[-1] if prefix else 0, i + 1):
-            prefix.append(v)
-            yield from rec(prefix)
-            prefix.pop()
-
-    yield from rec([])
+        e[i:] = [e[i] + 1] * (n - i)
 
 
 def lattice_paths(n: int) -> Iterator[LatticePath]:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
-from .invseq import InvSeq, inversion_sequences, validate
+from .invseq import MAX_ENUM_LENGTH, InvSeq, validate
 from .polyring import QLaurent
 from .qcalc import q_int
 
@@ -96,24 +96,69 @@ def augmented_inversions(e: InvSeq) -> int:
                if w[i] > w[j])
 
 
+def distinct_nonzero_sequences(n: int) -> Iterator[InvSeq]:
+    """Members of I_n with pairwise distinct nonzero entries, in
+    lexicographic order, for n up to MAX_ENUM_LENGTH.
+
+    The odometer of inversion_sequences, pruned on the set of values in
+    use: a digit skips every value another slot holds, so the walk visits
+    the Bell(n)-many members and nothing else.
+    """
+    if n < 1:
+        raise ValueError("length must be >= 1")
+    if n > MAX_ENUM_LENGTH:
+        raise ValueError(f"length {n} above enumeration bound {MAX_ENUM_LENGTH}")
+
+    e = [0] * n
+    used = [False] * n  # used[v] for v >= 1: some slot holds v
+    while True:
+        yield tuple(e)
+        i = n - 1
+        while i:
+            used[e[i]] = False
+            v = e[i] + 1
+            while v <= i and used[v]:
+                v += 1
+            if v <= i:
+                e[i] = v
+                used[v] = True
+                break
+            e[i] = 0
+            i -= 1
+        else:
+            return
+
+
 def zero_marked_sequences(n: int, k: int) -> Iterator[InvSeq]:
     """Members of I_n with exactly k zeros and distinct nonzero entries."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    for e in inversion_sequences(n):
-        if e.count(0) == k and is_distinct_nonzero(e):
+    for e in distinct_nonzero_sequences(n):
+        if e.count(0) == k:
             yield e
+
+
+@cache
+def _augmented_by_zero_count(n: int) -> list[QLaurent]:
+    """Entry k: the augmented-inversion polynomial of the members with k
+    zeros, for every k from one walk."""
+    counts = [Counter() for _ in range(n + 1)]
+    for e in distinct_nonzero_sequences(n):
+        counts[e.count(0)][augmented_inversions(e)] += 1
+    return [QLaurent(c) for c in counts]
 
 
 def stirling2_q_by_enumeration(n: int, k: int) -> QLaurent:
     """Augmented-inversion generating polynomial over zero_marked_sequences.
 
-    Brute-force oracle for stirling2_q; bounded at n <= 9.
+    Brute-force oracle for stirling2_q; bounded at n <= 9.  One walk of
+    distinct_nonzero_sequences(n) serves every k.
     """
     if n > 9:
         raise ValueError("brute-force bound is n <= 9")
-    return QLaurent(Counter(map(augmented_inversions,
-                                zero_marked_sequences(n, k))))
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    return _augmented_by_zero_count(n)[k]
 
 
 # ------------------------------------------------------- family conversions

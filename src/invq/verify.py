@@ -160,19 +160,27 @@ def run_paths(nmax: int, trunc: int | None = None) -> list[CheckResult]:
 def run_tau(nmax: int, trunc: int | None = None) -> list[CheckResult]:
     s = _Suite(nmax)
 
-    def unit_involution(e):
-        image = paths.sign_reversing_involution(e)
-        return (paths.sign_reversing_involution(image) == e
-                and (image == e
-                     or abs(invseq.sequence_stats(image).inv
-                            - invseq.sequence_stats(e).inv) == 1))
+    # one pass over inversion_sequences(n) per n, shared by the involution
+    # and fixed-point checks: (every image passes, number of fixed points)
+    @cache
+    def scan(n: int) -> tuple[bool, int]:
+        involutive, fixed = True, 0
+        for e in invseq.inversion_sequences(n):
+            image = paths.sign_reversing_involution(e)
+            if image == e:
+                fixed += 1
+            elif (paths.sign_reversing_involution(image) != e
+                  or abs(invseq.sequence_stats(image).inv
+                         - invseq.sequence_stats(e).inv) != 1):
+                involutive = False
+        return involutive, fixed
+
     s.check("tau.involution", 8,
             "involution with unit inversion change, n <= {}",
-            lambda n: all(map(unit_involution, invseq.inversion_sequences(n))))
+            lambda n: scan(n)[0])
     s.check("tau.fixed_point_count", 8,
             "fixed points counted by involution numbers, n <= {}",
-            lambda n: len(paths.involution_fixed_points(n))
-            == paths.involution_number(n))
+            lambda n: scan(n)[1] == paths.involution_number(n))
     s.check("tau.q_minus_one", 9, "q = -1 evaluation matches, n <= {}",
             lambda n: recurrence.inv_poly(n).evaluate(-1)
             == paths.involution_number(n))

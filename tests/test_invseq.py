@@ -57,6 +57,9 @@ def test_validate():
         validate([0, 2])
     with pytest.raises(ValueError):
         validate([])
+    for bad in ((0, True), (False,), (0, 1.0), (0, "1")):
+        with pytest.raises(ValueError):
+            validate(bad)
 
 
 # -------------------------------------------------------------- statistics
@@ -133,6 +136,11 @@ def test_fixed_freq_input_validation():
         fixed_freq_poly((2, -1, 1))
     with pytest.raises(ValueError):
         fixed_freq_poly((2, 2))  # counts must sum to the length
+    for bad in ((2.0, 0), (True, True), (1, True), (1.0, 1.0)):
+        with pytest.raises(ValueError):
+            fixed_freq_poly(bad)
+        with pytest.raises(ValueError):
+            brute_fixed_freq(bad)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -70,6 +70,12 @@ def test_counts_are_catalan():
         assert sum(1 for _ in lattice_paths(n)) == catalan(n)
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_weakly_increasing_matches_filtered_enumeration(n):
+    assert list(weakly_increasing_sequences(n)) == [
+        e for e in inversion_sequences(n) if e == tuple(sorted(e))]
+
+
 def test_validate_path_rejects():
     for bad in ("EX", "NE", "EENNN", "ENNE", ""):
         with pytest.raises(ValueError):

@@ -2,10 +2,12 @@
 
 import pytest
 
+from invq.invseq import inversion_sequences
 from invq.polyring import QLaurent
 from invq.qstirling import (
     augmented_inversions,
     augmented_word,
+    distinct_nonzero_sequences,
     excluded_values,
     is_distinct_nonzero,
     milne_from_standard,
@@ -103,9 +105,35 @@ def test_model_matches_recurrence(n):
         assert stirling2_q(n, k) == stirling2_q_by_enumeration(n, k)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pruned_walk_matches_filtered_enumeration(n):
+    # the pruned walk against a filter of the full walk, in order
+    full = list(inversion_sequences(n))
+    assert list(distinct_nonzero_sequences(n)) == [
+        e for e in full if is_distinct_nonzero(e)]
+    for k in range(1, n + 1):
+        assert list(zero_marked_sequences(n, k)) == [
+            e for e in full if e.count(0) == k and is_distinct_nonzero(e)]
+
+
 def test_enumeration_bound():
     with pytest.raises(ValueError):
         stirling2_q_by_enumeration(10, 3)
+    for n, k in ((9, 10), (3, 0)):
+        with pytest.raises(ValueError):
+            stirling2_q_by_enumeration(n, k)
+
+
+def test_zero_marked_guards():
+    # without a full walk, the pruned walk's own length bound is the guard
+    for n in (0, 13):
+        with pytest.raises(ValueError):
+            list(distinct_nonzero_sequences(n))
+    with pytest.raises(ValueError):
+        list(zero_marked_sequences(13, 1))
+    for k in (0, 4, -1):
+        with pytest.raises(ValueError):
+            list(zero_marked_sequences(3, k))
 
 
 # ------------------------------------------------------------- conversions
