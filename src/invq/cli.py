@@ -78,10 +78,11 @@ def _parse_counts(text: str) -> tuple[int, ...]:
         raise UsageError("counts must be comma-separated integers") from None
 
 
-def _emit(args, payload: dict, plain_lines: list[str],
-          csv_rows: list[list]) -> int:
+def _emit(args, command: str, params: dict, result: dict,
+          plain_lines: list[str], csv_rows: list[list], checks=()) -> int:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"command": command, "params": params,
+                          "result": result, "checks": list(checks)}, indent=2))
     elif args.format == "csv":
         for row in csv_rows:
             print(",".join(str(v) for v in row))
@@ -106,15 +107,10 @@ def _emit_poly(args, command: str, params: dict, poly: MultiPoly) -> int:
     shown = poly.as_qlaurent() if poly.support_variables() <= {"q"} else poly
     text = str(shown) if args.format != "csv" else None
     terms = poly.to_json_terms() if args.format != "plain" else None
-    payload = {
-        "command": command,
-        "params": params,
-        "result": {"text": text, "terms": terms},
-        "checks": [],
-    }
     header = ["coeff", "ex", "ey", "ez", "ep", "eq"]
     csv_rows = [header] + [[t[k] for k in header] for t in terms or ()]
-    return _emit(args, payload, [text], csv_rows)
+    return _emit(args, command, params, {"text": text, "terms": terms},
+                 [text], csv_rows)
 
 
 def cmd_fpoly(args) -> int:
@@ -132,17 +128,12 @@ def cmd_fpoly(args) -> int:
         for m in range(1, n + 1):
             f = recurrence.inv_poly(m)
             rows.append([m, str(f)] + [f.evaluate(v) for v in qvalues])
-        payload = {
-            "command": "fpoly",
-            "params": {"n": n, "columns": qvalues},
-            "result": {"header": header, "rows": rows},
-            "checks": [],
-        }
         widths = [max(len(str(r[i])) for r in [header] + rows)
                   for i in range(len(header))]
         plain = ["  ".join(str(v).ljust(w) for v, w in zip(r, widths)).rstrip()
                  for r in [header] + rows]
-        return _emit(args, payload, plain, [header] + rows)
+        return _emit(args, "fpoly", {"n": n, "columns": qvalues},
+                     {"header": header, "rows": rows}, plain, [header] + rows)
 
     poly = recurrence.joint_poly(n)
     if bindings:
@@ -165,20 +156,16 @@ def cmd_verify(args) -> int:
     checks = [{"name": r.name, "pass": r.passed, "detail": r.detail}
               for r in results]
     passed = sum(r.passed for r in results)
-    payload = {
-        "command": "verify",
-        "params": {"suite": args.suite, "max_n": nmax, "trunc": args.trunc},
-        "result": {"passed": passed, "total": len(results),
-                   "ok": passed == len(results)},
-        "checks": checks,
-    }
     plain = [
         f"{'PASS' if r.passed else 'FAIL'}  {r.name}  ({r.seconds:.2f}s)  {r.detail}"
         for r in results]
     plain.append(f"passed {passed}/{len(results)} checks")
     csv_rows = [["name", "pass", "detail"]] + [
         [r.name, str(r.passed).lower(), r.detail] for r in results]
-    _emit(args, payload, plain, csv_rows)
+    _emit(args, "verify",
+          {"suite": args.suite, "max_n": nmax, "trunc": args.trunc},
+          {"passed": passed, "total": len(results), "ok": passed == len(results)},
+          plain, csv_rows, checks)
     return 0 if passed == len(results) else 1
 
 
@@ -202,19 +189,14 @@ def cmd_sequence(args) -> int:
     if not 1 <= nmax <= bound:
         raise UsageError(f"bound for {args.stat} must be in 1..{bound}")
     values = [value(n) for n in range(1, nmax + 1)]
-    payload = {
-        "command": "sequence",
-        "params": {"stat": args.stat, "max_n": nmax},
-        "result": {"values": values},
-        "checks": [],
-    }
     if isinstance(values[0], list):
         plain = [" ".join(str(v) for v in row) for row in values]
         csv_rows = values
     else:
         plain = [" ".join(str(v) for v in values)]
         csv_rows = [values]
-    return _emit(args, payload, plain, csv_rows)
+    return _emit(args, "sequence", {"stat": args.stat, "max_n": nmax},
+                 {"values": values}, plain, csv_rows)
 
 
 # -------------------------------------------------------------- lnk/expand
@@ -225,16 +207,11 @@ def _emit_expr(args, command: str, params: dict, expr: SymExpr) -> int:
     words = [{"coeff": [[e, c] for e, c in sorted(coeff.items())],
               "factors": [[f.kind, f.deriv, f.shift] for f in word]}
              for word, coeff in items]
-    payload = {
-        "command": command,
-        "params": params,
-        "result": {"text": text, "words": words},
-        "checks": [],
-    }
     csv_rows = [["coeff", "word"]] + [
         [str(c), " ".join(f"{f.kind}:{f.deriv}:{f.shift}" for f in w)]
         for w, c in items]
-    return _emit(args, payload, [text], csv_rows)
+    return _emit(args, command, params, {"text": text, "words": words},
+                 [text], csv_rows)
 
 
 def cmd_lnk(args) -> int:

@@ -17,7 +17,7 @@ x^noz y^tel z^uel p^sum q^inv to each sequence.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Iterable, Iterator, NamedTuple
 
 from .polyring import MultiPoly, QLaurent
@@ -157,14 +157,25 @@ def fixed_freq_poly(counts: Iterable[int]) -> QLaurent:
     return result
 
 
+def brute_class_polys(n: int) -> dict[tuple[int, ...], QLaurent]:
+    """The inversion polynomial of every frequency class met in I_n, from
+    one walk of the full enumeration (oracle path).  Vectors realized by
+    no sequence are absent."""
+    if n > 9:
+        raise ValueError("brute-force bound is length 9")
+    groups: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
+    for e in inversion_sequences(n):
+        groups[occurrence_counts(e)][sequence_stats(e).inv] += 1
+    return {v: QLaurent(c) for v, c in groups.items()}
+
+
 def brute_fixed_freq(counts: Iterable[int]) -> QLaurent:
-    """Same polynomial by filtering the full enumeration (oracle path)."""
+    """Same polynomial as fixed_freq_poly, read off brute_class_polys."""
     v = _validate_counts(counts)
     n = len(v)
     if n > 9:
         raise ValueError("brute-force bound is length 9")
-    return QLaurent(Counter(sequence_stats(e).inv for e in inversion_sequences(n)
-                            if occurrence_counts(e) == v))
+    return brute_class_polys(n).get(v, QLaurent.zero())
 
 
 def frequency_vectors(n: int) -> Iterator[tuple[int, ...]]:

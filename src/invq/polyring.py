@@ -63,7 +63,8 @@ class TermMap:
     and canonicalizes one key of outside input.  A subclass with a
     constant term names its key in `_UNIT`; `one`, `constant` and int
     operands are available only there.  `_coeff` admits a coefficient of
-    outside input only if it is a `_COEFF` (int; QLaurent for SymExpr).
+    outside input only if its type is exactly `_COEFF` (int, so never a
+    bool; QLaurent for SymExpr).
     """
 
     __slots__ = ("_terms",)
@@ -80,7 +81,7 @@ class TermMap:
 
     @classmethod
     def _coeff(cls, coeff):
-        if not isinstance(coeff, cls._COEFF):
+        if type(coeff) is not cls._COEFF:
             raise ValueError(f"bad coefficient {coeff!r}")
         return coeff
 
@@ -146,7 +147,7 @@ class TermMap:
     def _coerce(cls, other):
         if isinstance(other, cls):
             return other
-        if isinstance(other, int) and cls._UNIT is not None:
+        if type(other) is int and cls._UNIT is not None:
             return cls.constant(other)
         return None
 
@@ -172,7 +173,7 @@ class TermMap:
         return other + (-self)
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a nonnegative int")
         result = self.one()
         for _ in range(n):
@@ -209,7 +210,7 @@ class MultiPoly(TermMap):
     @staticmethod
     def _key(key: Iterable[int]) -> ExpVec:
         key = tuple(key)
-        if len(key) != 5 or not all(isinstance(e, int) and e >= 0 for e in key):
+        if len(key) != 5 or not all(type(e) is int and e >= 0 for e in key):
             raise ValueError(f"bad exponent vector {key!r}")
         return key
 
@@ -294,7 +295,7 @@ class MultiPoly(TermMap):
         for name, v in bindings.items():
             if name not in VARIABLES:
                 raise ValueError(f"unknown variable {name!r}")
-            if not isinstance(v, int):
+            if type(v) is not int:
                 raise ValueError(f"bad value {v!r} for {name}")
         if not bindings:
             return self
@@ -413,7 +414,7 @@ class QLaurent(TermMap):
 
     @staticmethod
     def _key(e: int) -> int:
-        if not isinstance(e, int):
+        if type(e) is not int:
             raise ValueError(f"bad exponent {e!r}")
         return e
 
@@ -460,7 +461,7 @@ class QLaurent(TermMap):
 
     def evaluate(self, value: int) -> int:
         """Exact evaluation at an integer q; q=0 needs no negative exponents."""
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise ValueError(f"bad value {value!r} for q")
         total = 0
         for e, c in self._terms.items():

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple
 
-from .invseq import inversion_sequences, occurrence_counts, sequence_stats
+from .invseq import brute_class_polys
 from .polyring import MultiPoly, QLaurent, TermMap
 from .qcalc import q_binomial
 
@@ -138,31 +138,32 @@ def operator_expansion(n: int) -> SymExpr:
     return expr
 
 
-def expansion_from_sequences(n: int) -> SymExpr:
-    """The same normal form assembled directly from inversion sequences.
-
-    Each e contributes q^inv(e) times the word
+def class_word(counts: tuple[int, ...]) -> Word:
+    """The word of the frequency class v = counts, with n = len(v):
     g g_{k_1} g_{k_2}^(K_1) ... g_{k_{n-1}}^(K_{n-2}) f_k^(K_{n-1}),
-    where k_j counts entries of e equal to n - j, K_j is the running sum,
-    and k is the number of zeros.
-    """
+    where k_j = v_{n-j} counts entries equal to n - j, K_j is the running
+    sum and k = v_0 is the number of zeros."""
+    n = len(counts)
+    word = [g_factor()]
+    running = 0
+    for j in range(1, n):
+        kj = counts[n - j]
+        word.append(Factor("g", kj, running))
+        running += kj
+    word.append(Factor("f", counts[0], running))
+    return tuple(word)
+
+
+def expansion_from_sequences(n: int) -> SymExpr:
+    """The same normal form assembled directly from inversion sequences:
+    each e contributes q^inv(e) times the class_word of its frequency
+    vector, summed per class by enumeration."""
     if n < 1:
         raise ValueError("needs n >= 1")
     if n > 9:
         raise ValueError("enumeration bound is n <= 9")
-    out: dict[Word, QLaurent] = {}
-    for e in inversion_sequences(n):
-        counts = occurrence_counts(e)
-        word = [g_factor()]
-        running = 0
-        for j in range(1, n):
-            kj = counts[n - j]
-            word.append(Factor("g", kj, running))
-            running += kj
-        word.append(Factor("f", counts[0], running))
-        word = tuple(word)
-        out[word] = out.get(word, 0) + QLaurent.q_power(sequence_stats(e).inv)
-    return SymExpr._summed(out)
+    return SymExpr._summed({class_word(v): poly for v, poly
+                            in brute_class_polys(n).items()})
 
 
 # ----------------------------------------------------- Comtet-style coefficients

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, reduce
 from operator import attrgetter
@@ -191,11 +191,7 @@ def run_freq(nmax: int, trunc: int | None = None) -> list[CheckResult]:
     s = _Suite(nmax)
 
     def classes_sum(n):
-        groups: dict = defaultdict(QLaurent.zero)
-        for e in invseq.inversion_sequences(n):
-            key = invseq.occurrence_counts(e)
-            groups[key] = groups[key] + QLaurent.q_power(
-                invseq.sequence_stats(e).inv)
+        groups = invseq.brute_class_polys(n)
         prods = {v: invseq.fixed_freq_poly(v)
                  for v in invseq.frequency_vectors(n)}
         return (all(prod == groups.get(v, QLaurent.zero())

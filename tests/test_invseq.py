@@ -1,6 +1,7 @@
 """Enumeration, statistics, and the fixed-frequency product formula."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from invq.invseq import (
     SeqStats,
+    brute_class_polys,
     brute_fixed_freq,
     brute_joint_poly,
     fixed_freq_poly,
@@ -141,6 +143,28 @@ def test_fixed_freq_input_validation():
             fixed_freq_poly(bad)
         with pytest.raises(ValueError):
             brute_fixed_freq(bad)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_brute_class_polys_matches_per_class_filter(n):
+    classes = brute_class_polys(n)
+    keyed = [(occurrence_counts(e), e) for e in inversion_sequences(n)]
+    for v, poly in classes.items():
+        assert poly == QLaurent(Counter(
+            sequence_stats(e).inv for key, e in keyed if key == v)), v
+    assert set(classes) <= set(frequency_vectors(n))
+    assert sum(poly.evaluate(1) for poly in classes.values()) == math.factorial(n)
+
+
+def test_brute_class_bounds():
+    with pytest.raises(ValueError, match="brute-force bound is length 9"):
+        brute_class_polys(10)
+    with pytest.raises(ValueError, match="brute-force bound is length 9"):
+        brute_fixed_freq((10,) + (0,) * 9)
+    with pytest.raises(ValueError, match="multiplicities must sum"):
+        brute_fixed_freq((2, 2))
+    with pytest.raises(ValueError, match="value 1 fits at most 1 slots"):
+        brute_fixed_freq((0, 2))
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -108,6 +108,22 @@ def test_bad_keys_rejected():
         SymExpr({(g_factor(),): 1.5})
     with pytest.raises(ValueError):
         SymExpr({(g_factor(),): MultiPoly.one()})
+    # bool is an int subclass, but never a coefficient, exponent or power
+    for build in (lambda: MultiPoly.monomial(True, ex=1),
+                  lambda: MultiPoly({(True, 0, 0, 0, 0): 1}),
+                  lambda: MultiPoly({(0, 0, 0, 0, 0): True}),
+                  lambda: MultiPoly.monomial(1, eq=False),
+                  lambda: QLaurent({True: 1}),
+                  lambda: QLaurent({0: True}),
+                  lambda: QLaurent.q_power(True),
+                  lambda: QLaurent.q_power(1, True),
+                  lambda: SymExpr({(g_factor(),): True}),
+                  lambda: X ** True):
+        with pytest.raises(ValueError):
+            build()
+    with pytest.raises(TypeError):
+        X + True
+    assert X != True and QLaurent.one() != True
 
 
 def test_arithmetic_basics():
@@ -151,7 +167,7 @@ def test_eval_partial_golden(golden_polys):
     assert eval_at(f3, (1, 1, 1, 1, 1)) == 6
     with pytest.raises(ValueError):
         f3.eval_partial({"w": 1})
-    for bad in (1.5, "2"):
+    for bad in (1.5, "2", True, False):
         with pytest.raises(ValueError, match="bad value"):
             f3.eval_partial({"x": bad, "y": 1})
 
@@ -273,8 +289,9 @@ def test_qlaurent_inverse_and_shift():
     with pytest.raises(ValueError):
         g.evaluate(2)
     assert g.evaluate(1) == 3 and g.evaluate(-1) == 3
-    with pytest.raises(ValueError, match="bad value"):
-        f.evaluate(0.5)
+    for bad in (0.5, True, False):
+        with pytest.raises(ValueError, match="bad value"):
+            f.evaluate(bad)
 
 
 def test_qlaurent_multipoly_bridge():

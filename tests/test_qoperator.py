@@ -4,12 +4,14 @@ import math
 
 import pytest
 
+from invq.invseq import fixed_freq_poly, frequency_vectors
 from invq.polyring import MultiPoly, QLaurent
 from invq.qoperator import (
     Factor,
     G_IS_X,
     SymExpr,
     apply_gdq,
+    class_word,
     comtet_coeff_explicit,
     comtet_coeff_from_expansion,
     comtet_coeff_recurrence,
@@ -22,6 +24,7 @@ from invq.qoperator import (
     times_g,
 )
 from invq.qstirling import stirling2_q
+from invq.recurrence import joint_poly
 
 G = g_factor()
 ONE = QLaurent.one()
@@ -86,6 +89,32 @@ def test_product_rule_scaling():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_routes_agree_word_for_word(n):
     assert operator_expansion(n) == expansion_from_sequences(n)
+
+
+def test_class_word():
+    word = class_word((2, 1, 1, 0))
+    assert str(SymExpr.from_word(word)) == "g g g_1 g_1^(1) f_2^(2)"
+    assert dict(operator_expansion(4).items())[word] == fixed_freq_poly((2, 1, 1, 0))
+
+
+def test_operator_route_reaches_joint_poly():
+    # each word of (g D_q)^n f is the class_word of one frequency vector v;
+    # its q-coefficient times x^noz y^tel z^uel p^sum, summed, is F_n
+    expr = SymExpr.from_word((f_factor(),))
+    for n in range(1, 9):
+        expr = apply_gdq(expr)
+        vectors = list(frequency_vectors(n))
+        classes = {class_word(v): v for v in vectors}
+        assert len(classes) == len(vectors)  # one class per word
+        terms: dict = {}
+        for word, coeff in expr.items():
+            v = classes[word]
+            key = (v[0], sum(c - 1 for c in v if c),
+                   n - 1 - max(j for j, c in enumerate(v) if c),
+                   sum(j * c for j, c in enumerate(v)))
+            for e, c in coeff.items():
+                terms[key + (e,)] = terms.get(key + (e,), 0) + c
+        assert MultiPoly(terms) == joint_poly(n), n
 
 
 @pytest.mark.parametrize("n", range(1, 7))
