@@ -18,7 +18,7 @@ x^noz y^tel z^uel p^sum q^inv to each sequence.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .polyring import MultiPoly, QLaurent
 from .qcalc import q_binomial
@@ -72,6 +72,23 @@ def inversion_sequences(n: int) -> Iterator[InvSeq]:
         e[i] += 1
 
 
+def inversions(w: Sequence[int]) -> int:
+    """Pairs i < j with w_i > w_j, for any word of ints; equal entries
+    make no inversion.
+
+    >>> inversions((2, 0, 2, 1, 0))
+    6
+    """
+    n = len(w)
+    inv = 0
+    for i in range(n - 1):
+        wi = w[i]
+        for j in range(i + 1, n):
+            if wi > w[j]:
+                inv += 1
+    return inv
+
+
 def sequence_stats(e: Iterable[int]) -> SeqStats:
     """All five statistics (plus dist and maxent) in one pass.
 
@@ -80,22 +97,15 @@ def sequence_stats(e: Iterable[int]) -> SeqStats:
     """
     e = tuple(e)
     n = len(e)
-    inv = 0
-    for i in range(n - 1):
-        ei = e[i]
-        for j in range(i + 1, n):
-            if ei > e[j]:
-                inv += 1
-    total = sum(e)
-    noz = e.count(0)
     dist = len(set(e))
     mx = max(e)
-    return SeqStats(inv, total, noz, dist, n - dist, n - mx - 1, mx)
+    return SeqStats(inversions(e), sum(e), e.count(0), dist, n - dist,
+                    n - mx - 1, mx)
 
 
 def occurrence_counts(e: Iterable[int]) -> tuple[int, ...]:
     """Frequency vector (|e|_0, ..., |e|_{n-1}); |e|_j counts entries equal j."""
-    e = tuple(e)
+    e = validate(e)
     counts = [0] * len(e)
     for v in e:
         counts[v] += 1
@@ -165,17 +175,14 @@ def brute_class_polys(n: int) -> dict[tuple[int, ...], QLaurent]:
         raise ValueError("brute-force bound is length 9")
     groups: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
     for e in inversion_sequences(n):
-        groups[occurrence_counts(e)][sequence_stats(e).inv] += 1
+        groups[occurrence_counts(e)][inversions(e)] += 1
     return {v: QLaurent(c) for v, c in groups.items()}
 
 
 def brute_fixed_freq(counts: Iterable[int]) -> QLaurent:
     """Same polynomial as fixed_freq_poly, read off brute_class_polys."""
     v = _validate_counts(counts)
-    n = len(v)
-    if n > 9:
-        raise ValueError("brute-force bound is length 9")
-    return brute_class_polys(n).get(v, QLaurent.zero())
+    return brute_class_polys(len(v)).get(v, QLaurent.zero())
 
 
 def frequency_vectors(n: int) -> Iterator[tuple[int, ...]]:

@@ -321,8 +321,8 @@ class MultiPoly(TermMap):
         recurrence.  If some term has x-degree above d+n the substitution
         would need a negative p-exponent, which is an error.
         """
-        if n < 0:
-            raise ValueError("shift length must be nonnegative")
+        if type(n) is not int or n < 0:
+            raise ValueError("shift length must be a nonnegative int")
         out: dict[ExpVec, int] = {}
         for (ax, ay, az, ap, aq), coeff in self._terms.items():
             pe = ap + n - ax
@@ -333,6 +333,8 @@ class MultiPoly(TermMap):
 
     def dilate_x(self, j: int = 1) -> "MultiPoly":
         """Substitute x -> q^j * x (termwise x^a gains q^(j*a))."""
+        if type(j) is not int:
+            raise ValueError(f"bad exponent {j!r}")
         out: dict[ExpVec, int] = {}
         for (ax, ay, az, ap, aq), coeff in self._terms.items():
             eq = aq + j * ax
@@ -453,6 +455,8 @@ class QLaurent(TermMap):
     # -------------------------------------------------------- substitutions
 
     def times_q_power(self, e: int) -> "QLaurent":
+        if type(e) is not int:
+            raise ValueError(f"bad exponent {e!r}")
         return QLaurent._raw({k + e: c for k, c in self._terms.items()})
 
     def substitute_q_inverse(self) -> "QLaurent":

@@ -160,8 +160,6 @@ def expansion_from_sequences(n: int) -> SymExpr:
     vector, summed per class by enumeration."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    if n > 9:
-        raise ValueError("enumeration bound is n <= 9")
     return SymExpr._summed({class_word(v): poly for v, poly
                             in brute_class_polys(n).items()})
 

@@ -14,7 +14,7 @@ from collections import Counter
 from functools import cache
 from typing import Iterator
 
-from .invseq import MAX_ENUM_LENGTH, InvSeq, validate
+from .invseq import MAX_ENUM_LENGTH, InvSeq, inversions, validate
 from .polyring import QLaurent
 from .qcalc import q_int
 
@@ -91,9 +91,7 @@ def augmented_inversions(e: InvSeq) -> int:
     >>> augmented_inversions((0, 1, 0, 0, 3, 4, 0, 0))
     10
     """
-    w = augmented_word(e)
-    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
-               if w[i] > w[j])
+    return inversions(augmented_word(e))
 
 
 def distinct_nonzero_sequences(n: int) -> Iterator[InvSeq]:

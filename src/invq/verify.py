@@ -170,8 +170,7 @@ def run_tau(nmax: int, trunc: int | None = None) -> list[CheckResult]:
             if image == e:
                 fixed += 1
             elif (paths.sign_reversing_involution(image) != e
-                  or abs(invseq.sequence_stats(image).inv
-                         - invseq.sequence_stats(e).inv) != 1):
+                  or abs(invseq.inversions(image) - invseq.inversions(e)) != 1):
                 involutive = False
         return involutive, fixed
 

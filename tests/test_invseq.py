@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invq.identities import permutations
 from invq.invseq import (
     SeqStats,
     brute_class_polys,
@@ -16,12 +17,13 @@ from invq.invseq import (
     format_sequence,
     frequency_vectors,
     inversion_sequences,
+    inversions,
     occurrence_counts,
     sequence_stats,
     validate,
 )
 from invq.polyring import QLaurent
-from invq.qcalc import q_binomial
+from invq.qcalc import q_binomial, q_factorial
 
 
 def random_sequences(max_n=8):
@@ -96,6 +98,24 @@ def test_stats_invariants(e):
 
 def test_occurrence_counts():
     assert occurrence_counts((0, 0, 2, 2, 4)) == (2, 0, 2, 0, 1)
+    # entries outside 0 <= e_i <= i are refused, not counted in a wrong slot
+    for bad in ((0, -1), (0, 0, -2), (0, True), (0, 5)):
+        with pytest.raises(ValueError):
+            occurrence_counts(bad)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_inversions_mahonian(n):
+    # MacMahon: inversions over S_n are distributed as [n]_q!
+    assert QLaurent(Counter(map(inversions, permutations(n)))) == q_factorial(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=-2, max_value=3), max_size=9))
+def test_inversions_matches_pair_count(w):
+    # repeated values tell a strict count from one that counts ties
+    pairs = [(a, b) for i, a in enumerate(w) for b in w[i + 1:]]
+    assert inversions(w) == sum(1 for a, b in pairs if a > b)
 
 
 def test_format_sequence():

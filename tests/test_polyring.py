@@ -105,6 +105,8 @@ def test_bad_keys_rejected():
     with pytest.raises(ValueError):
         QLaurent.q_power(1, 0.5)
     with pytest.raises(ValueError):
+        QLaurent.one().times_q_power(0.5)
+    with pytest.raises(ValueError):
         SymExpr({(g_factor(),): 1.5})
     with pytest.raises(ValueError):
         SymExpr({(g_factor(),): MultiPoly.one()})
@@ -117,6 +119,7 @@ def test_bad_keys_rejected():
                   lambda: QLaurent({0: True}),
                   lambda: QLaurent.q_power(True),
                   lambda: QLaurent.q_power(1, True),
+                  lambda: QLaurent.one().times_q_power(True),
                   lambda: SymExpr({(g_factor(),): True}),
                   lambda: X ** True):
         with pytest.raises(ValueError):
@@ -190,6 +193,9 @@ def test_scaled_shift_examples(golden_polys):
 def test_scaled_shift_degree_guard():
     with pytest.raises(ValueError, match="leaves polynomial ring"):
         MultiPoly.monomial(1, ex=2).scaled_shift(1)
+    for bad in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="shift length"):
+            X.scaled_shift(bad)
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,6 +216,9 @@ def test_scaled_shift_matches_rational_substitution(f, point, n, t):
 def test_dilate_x():
     f = MultiPoly.monomial(3, ex=2, eq=1) + X
     assert f.dilate_x(2) == MultiPoly.monomial(3, ex=2, eq=5) + MultiPoly.monomial(1, ex=1, eq=2)
+    for bad in (0.5, True):
+        with pytest.raises(ValueError, match="bad exponent"):
+            X.dilate_x(bad)
 
 
 def test_coefficients_in_and_truncate(golden_polys):
