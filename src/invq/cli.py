@@ -117,7 +117,7 @@ def cmd_fpoly(args) -> int:
     n = args.n
     if not 1 <= n <= MAX_BRUTE_LENGTH:
         raise UsageError(f"length must be in 1..{MAX_BRUTE_LENGTH}")
-    bindings = _parse_bindings(args.bind) if args.bind is not None else {}
+    bindings = _parse_bindings(",".join(args.bind)) if args.bind else {}
 
     if args.columns is not None:
         if bindings:
@@ -256,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fpoly", help="joint statistic polynomial of length N")
     p.add_argument("n", type=int)
-    p.add_argument("--bind", metavar="VAR=INT,...",
-                   help="bind variables, e.g. x=1,y=1 or all=1")
+    p.add_argument("--bind", metavar="VAR=INT,...", action="append",
+                   help="bind variables, e.g. x=1,y=1 or all=1; repeats merge")
     p.add_argument("--columns", metavar="q=V1,V2,...",
                    help="tabulate the inversion marginal for n = 1..N "
                         "evaluated at the given q values")

@@ -9,6 +9,7 @@ truncation degree.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from itertools import permutations as _permutations
 from typing import Iterator
 
@@ -37,8 +38,9 @@ def major_index(sigma: tuple[int, ...]) -> int:
     return sum(i + 1 for i in range(len(sigma) - 1) if sigma[i] > sigma[i + 1])
 
 
+@cache
 def euler_mahonian_poly(n: int) -> MultiPoly:
-    """sum over S_n of x^descents q^major, by enumeration."""
+    """sum over S_n of x^descents q^major, by one cached walk of S_n per n."""
     return MultiPoly(Counter((descent_count(sigma), 0, 0, 0, major_index(sigma))
                              for sigma in permutations(n)))
 

@@ -95,7 +95,7 @@ def sequence_stats(e: Iterable[int]) -> SeqStats:
     >>> sequence_stats((0, 0, 0, 2, 4, 0, 5))
     SeqStats(inv=2, sum=11, noz=4, dist=4, tel=3, uel=1, maxent=5)
     """
-    e = tuple(e)
+    e = validate(e)
     n = len(e)
     dist = len(set(e))
     mx = max(e)

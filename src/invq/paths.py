@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterator, NamedTuple
+from functools import cache
+from operator import attrgetter
+from typing import Callable, Hashable, Iterator, NamedTuple
 
 from .invseq import InvSeq, inversion_sequences, sequence_stats, validate
 from .polyring import MultiPoly
@@ -56,24 +58,25 @@ def weakly_increasing_sequences(n: int) -> Iterator[InvSeq]:
 
 
 def lattice_paths(n: int) -> Iterator[LatticePath]:
-    """All E/N words of semilength n weakly below the diagonal (E-first DFS)."""
+    """All E/N words of semilength n weakly below the diagonal, E before N:
+    each next word turns the last E that can become an N into one, then
+    writes the remaining Es before the Ns."""
     if n < 1:
         raise ValueError("semilength must be >= 1")
 
-    def rec(word: list[str], easts: int, norths: int) -> Iterator[LatticePath]:
-        if easts == n and norths == n:
-            yield "".join(word)
-            return
-        if easts < n:
-            word.append("E")
-            yield from rec(word, easts + 1, norths)
-            word.pop()
-        if norths < easts:
-            word.append("N")
-            yield from rec(word, easts, norths + 1)
-            word.pop()
-
-    yield from rec([], 0, 0)
+    word, last = "E" * n + "N" * n, "EN" * n
+    yield word
+    while word != last:
+        easts = norths = n  # counted before position i as i falls
+        for i in range(2 * n - 1, 0, -1):
+            if word[i] == "N":
+                norths -= 1
+                continue
+            easts -= 1
+            if norths < easts:
+                word = word[:i] + "N" + "E" * (n - easts) + "N" * (n - norths - 1)
+                break
+        yield word
 
 
 def validate_path(word: str) -> str:
@@ -256,27 +259,35 @@ def returns_triangle_row(n: int) -> list[int]:
     return row
 
 
+@cache
+def _dyck_tally(n: int) -> Counter:
+    """Paths of semilength n by DyckStats: the one walk the readers below share."""
+    return Counter(map(dyck_stats, lattice_paths(n)))
+
+
+def dyck_distribution(n: int, key: Callable[[DyckStats], Hashable]) -> Counter:
+    """Paths of semilength n counted by key(their DyckStats), fresh each call."""
+    return Counter(map(key, _dyck_tally(n).elements()))
+
+
 def returns_distribution(n: int) -> Counter:
     """Return counts over all paths of semilength n, by enumeration."""
-    return Counter(dyck_stats(w).returns for w in lattice_paths(n))
+    return dyck_distribution(n, attrgetter("returns"))
 
 
 def first_peak_distribution(n: int) -> Counter:
-    return Counter(dyck_stats(w).first_peak_height for w in lattice_paths(n))
+    return dyck_distribution(n, attrgetter("first_peak_height"))
 
 
 def valley_distribution(n: int) -> Counter:
-    return Counter(dyck_stats(w).valleys for w in lattice_paths(n))
+    return dyck_distribution(n, attrgetter("valleys"))
 
 
 def peak_sum_distribution(n: int) -> Counter:
     """Distribution of first plus last peak height (a single peak counts
     twice), over all paths of semilength n."""
-    out: Counter = Counter()
-    for w in lattice_paths(n):
-        s = dyck_stats(w)
-        out[s.first_peak_height + s.last_peak_height] += 1
-    return out
+    return dyck_distribution(
+        n, lambda s: s.first_peak_height + s.last_peak_height)
 
 
 def peak_sum_row(n: int) -> list[int]:

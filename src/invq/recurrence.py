@@ -10,7 +10,6 @@ with the scaled shift x -> x/p, p-degree n.
 from __future__ import annotations
 
 import math
-from functools import cache
 
 from .polyring import ExpVec, MultiPoly, QLaurent
 from .qcalc import q_binomial, t_q
@@ -76,9 +75,8 @@ def _unpack(poly: int, width: int) -> list[int]:
             for i in range(0, len(data), width)]
 
 
-@cache
 def joint_poly(n: int) -> MultiPoly:
-    """Joint distribution polynomial of length n, memoized.
+    """Joint distribution polynomial of length n.
 
     A sum over frequency classes (`_class_scan`) whose states pack each
     q-polynomial into one int, coefficient of q^s in bytes

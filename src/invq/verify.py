@@ -95,15 +95,6 @@ def run_recurrence(nmax: int, trunc: int | None = None) -> list[CheckResult]:
 def run_paths(nmax: int, trunc: int | None = None) -> list[CheckResult]:
     s = _Suite(nmax)
 
-    # one validated pass over lattice_paths(n) per n, shared by the
-    # triangle and peak-height checks
-    @cache
-    def dyck_counts(n: int) -> Counter:
-        return Counter(map(paths.dyck_stats, paths.lattice_paths(n)))
-
-    def tally(n: int, *stats: str) -> Counter:
-        return Counter(map(attrgetter(*stats), dyck_counts(n).elements()))
-
     s.check("paths.catalan_counts", 12,
             "weakly increasing count is Catalan, n <= {}",
             lambda n: sum(1 for _ in paths.weakly_increasing_sequences(n))
@@ -129,13 +120,13 @@ def run_paths(nmax: int, trunc: int | None = None) -> list[CheckResult]:
 
     def triangles(n):
         row = paths.returns_triangle_row(n)
-        brute = tally(n, "returns")
+        brute = paths.returns_distribution(n)
         zeros = Counter(e.count(0) for e in paths.weakly_increasing_sequences(n))
-        valleys = tally(n, "valleys")
+        valleys = paths.valley_distribution(n)
         return (row == [brute.get(k, 0) for k in range(1, n + 1)]
                 and row == [zeros.get(k, 0) for k in range(1, n + 1)]
                 and paths.narayana_row(n) == [valleys.get(k, 0) for k in range(n)]
-                and tally(n, "first_peak_height") == brute)
+                and paths.first_peak_distribution(n) == brute)
     s.check("paths.triangles", 10,
             "returns / zeros / Narayana / first-peak triangles, n <= {}",
             triangles)
@@ -144,7 +135,8 @@ def run_paths(nmax: int, trunc: int | None = None) -> list[CheckResult]:
         poly = paths.peak_height_poly(n)
         mirrored = MultiPoly({(k[2], k[1], k[0], k[3], k[4]): c
                               for k, c in poly.items()})
-        brute = tally(n, "first_peak_height", "last_peak_height")
+        brute = paths.dyck_distribution(
+            n, attrgetter("first_peak_height", "last_peak_height"))
         # the q = 0 tie reads F_n, so it stays within the recurrence's bound 8
         return (poly == mirrored
                 and poly == MultiPoly({(a, 0, b, 0, 0): c

@@ -79,10 +79,16 @@ def test_fpoly_usage_errors(capsys):
     for bad in (["--columns", "q=1,,2"], ["--columns", "q="],
                 ["--bind", "x=1,x=2"], ["--bind", "all=1,q=0"],
                 ["--bind", "x=1,,y=1"], ["--bind", ","], ["--bind", "x=1, "],
-                ["--bind", ""]):
+                ["--bind", ""], ["--bind", "x=1", "--bind", "x=2"]):
         code, out, err = run(capsys, "fpoly", "3", *bad)
         assert (code, out) == (2, ""), bad
         assert "error:" in err, bad
+    # repeated --bind options merge into one binding
+    merged = run(capsys, "fpoly", "3", "--bind", "x=1", "--bind", "y=1",
+                 "--format", "json")
+    assert merged[0] == 0
+    assert merged == run(capsys, "fpoly", "3", "--bind", "x=1,y=1",
+                         "--format", "json")
 
 
 # ------------------------------------------------------------------ verify

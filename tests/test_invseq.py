@@ -79,6 +79,10 @@ def test_stats_small_cases():
     assert sequence_stats((0, 0, 0)) == SeqStats(0, 0, 3, 1, 2, 2, 0)
     # one inversion: the 1 before the final 0
     assert sequence_stats((0, 1, 0)) == SeqStats(1, 1, 2, 2, 1, 1, 1)
+    # out-of-range and bool entries are refused, as occurrence_counts does
+    for bad in ((0, 5), (1,), (0, True)):
+        with pytest.raises(ValueError):
+            sequence_stats(bad)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,9 @@
 """Path bijection, Dyck statistics, and the q = -1 sign involution."""
 
+import itertools
 import math
+from collections import Counter
+from operator import attrgetter
 
 import pytest
 
@@ -8,6 +11,7 @@ from invq.invseq import inversion_sequences, sequence_stats
 from invq.paths import (
     DyckStats,
     catalan,
+    dyck_distribution,
     dyck_stats,
     first_peak_distribution,
     involution_fixed_points,
@@ -74,6 +78,23 @@ def test_counts_are_catalan():
 def test_weakly_increasing_matches_filtered_enumeration(n):
     assert list(weakly_increasing_sequences(n)) == [
         e for e in inversion_sequences(n) if e == tuple(sorted(e))]
+
+
+def _is_path(word):
+    try:
+        return validate_path(word) == word
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lattice_paths_match_filtered_words(n):
+    # every E/N word that validate_path accepts, in sorted (E < N) order;
+    # one word past the end is read, so a walk that never stops fails
+    words = ("".join(w) for w in itertools.product("EN", repeat=2 * n))
+    expected = sorted(filter(_is_path, words))
+    walk = lattice_paths(n)
+    assert list(itertools.islice(walk, len(expected) + 1)) == expected
 
 
 def test_validate_path_rejects():
@@ -197,6 +218,22 @@ def test_triangle_rows_match_enumeration(n):
 @pytest.mark.parametrize("n", range(1, 8))
 def test_returns_and_first_peak_equidistributed(n):
     assert returns_distribution(n) == first_peak_distribution(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_dyck_distribution_matches_per_path_counts(n):
+    for key in (attrgetter("peaks"), attrgetter("returns", "valleys"),
+                lambda s: s.first_peak_height - s.last_peak_height, tuple):
+        assert dyck_distribution(n, key) == Counter(
+            key(dyck_stats(w)) for w in lattice_paths(n))
+
+
+def test_distributions_are_fresh_copies():
+    first = returns_distribution(5)
+    expected = Counter(first)
+    first[1] += 100
+    first[99] = 1
+    assert returns_distribution(5) == expected
 
 
 def test_peak_sum_rows():

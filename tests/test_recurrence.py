@@ -69,7 +69,7 @@ def test_packing_bound():
 
 
 def test_memo_is_consistent():
-    # ask out of order; memoized prefix must not corrupt later rows
+    # ask out of order; an earlier, longer call must not change a shorter one
     a = joint_poly(5)
     b = joint_poly(3)
     assert next_joint_poly(next_joint_poly(b, 3), 4) == a
