@@ -21,12 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Callable
 
 from . import identities, paths, recurrence
 from .invseq import MAX_BRUTE_LENGTH, fixed_freq_poly
-from .polyring import MultiPoly
+from .polyring import MultiPoly, format_terms
 from .qoperator import (SymExpr, comtet_coeff_explicit, operator_expansion)
 from .verify import SUITES, run_suite
 
@@ -37,16 +38,26 @@ class UsageError(Exception):
 
 # ------------------------------------------------------------- small utils
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def integer(text: str) -> int:
+    """An optional sign and ASCII digits as an int, for every integer the
+    command line takes; int() alone would also read "1_0", " 1 " and
+    non-ASCII digits."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_bindings(text: str) -> dict[str, int]:
     bindings: dict[str, int] = {}
     for piece in text.split(","):
-        piece = piece.strip()
         if not piece:
             raise UsageError("empty slot in --bind")
         name, _, value = piece.partition("=")
-        name = name.strip()
         try:
-            value = int(value)
+            value = integer(value)
         except ValueError:
             raise UsageError(f"binding {piece!r} is not var=integer") from None
         if name == "all":
@@ -66,23 +77,32 @@ def _parse_columns(text: str) -> list[int]:
     if not text.startswith("q="):
         raise UsageError("--columns expects the form q=1,0,-1")
     try:
-        return [int(v) for v in text[2:].split(",")]
+        return [integer(v) for v in text[2:].split(",")]
     except ValueError:
         raise UsageError("--columns values must be integers") from None
 
 
 def _parse_counts(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(v) for v in text.split(","))
+        return tuple(integer(v) for v in text.split(","))
     except ValueError:
         raise UsageError("counts must be comma-separated integers") from None
 
 
 def _emit(args, command: str, params: dict, result: dict,
-          plain_lines: list[str], csv_rows: list[list], checks=()) -> int:
+          plain_lines: list[str], csv_rows: list[list], checks=(),
+          json_terms: list[str] | None = None) -> int:
     if args.format == "json":
-        print(json.dumps({"command": command, "params": params,
-                          "result": result, "checks": list(checks)}, indent=2))
+        text = json.dumps({"command": command, "params": params,
+                           "result": result, "checks": list(checks)}, indent=2)
+        if json_terms:
+            # result["terms"] was dumped as []; the pre-rendered objects go
+            # there, at the depth json.dumps(indent=2) would put them (with
+            # no terms, the [] it printed is already those bytes)
+            head, _, tail = text.rpartition('"terms": []')
+            text = "".join((head, '"terms": [\n', ",\n".join(json_terms),
+                            "\n    ]", tail))
+        print(text)
     elif args.format == "csv":
         for row in csv_rows:
             print(",".join(str(v) for v in row))
@@ -101,16 +121,32 @@ def _effective_nmax(args, default: int) -> int:
 
 # ----------------------------------------------------------------- fpoly
 
+# one element of the json terms array, as json.dumps(indent=2) lays out a
+# MultiPoly.to_json_terms() entry at that depth of the envelope
+_JSON_TERM = ('      {\n        "coeff": %d,\n        "ex": %d,\n'
+              '        "ey": %d,\n        "ez": %d,\n        "ep": %d,\n'
+              '        "eq": %d\n      }')
+
+
 def _emit_poly(args, command: str, params: dict, poly: MultiPoly) -> int:
-    # render only what the format prints; q-only values print in the
-    # compact table style (no stars)
-    shown = poly.as_qlaurent() if poly.support_variables() <= {"q"} else poly
-    text = str(shown) if args.format != "csv" else None
-    terms = poly.to_json_terms() if args.format != "plain" else None
-    header = ["coeff", "ex", "ey", "ez", "ep", "eq"]
-    csv_rows = [header] + [[t[k] for k in header] for t in terms or ()]
-    return _emit(args, command, params, {"text": text, "terms": terms},
-                 [text], csv_rows)
+    # one sort; each format renders only what it prints
+    items = poly.sorted_items()
+    if args.format == "csv":
+        print("\n".join(["coeff,ex,ey,ez,ep,eq"] + [
+            "%d,%d,%d,%d,%d,%d" % (c, a, b, z, d, e)
+            for (a, b, z, d, e), c in items]))
+        return 0
+    # q-only values print in the compact table style (no stars)
+    if all(key[:4] == (0, 0, 0, 0) for key, _ in items):
+        text = str(poly.as_qlaurent())
+    else:
+        text = format_terms(items)
+    if args.format == "plain":
+        print(text)
+        return 0
+    return _emit(args, command, params, {"text": text, "terms": []}, (), (),
+                 json_terms=[_JSON_TERM % (c, a, b, z, d, e)
+                             for (a, b, z, d, e), c in items])
 
 
 def cmd_fpoly(args) -> int:
@@ -255,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="plain")
 
     p = sub.add_parser("fpoly", help="joint statistic polynomial of length N")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=integer)
     p.add_argument("--bind", metavar="VAR=INT,...", action="append",
                    help="bind variables, e.g. x=1,y=1 or all=1; repeats merge")
     p.add_argument("--columns", metavar="q=V1,V2,...",
@@ -266,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="rerun a module's cross-checks")
     p.add_argument("suite", choices=tuple(SUITES) + ("all",))
-    p.add_argument("nmax", nargs="?", type=int)
-    p.add_argument("--max-n", type=int, dest="max_n")
-    p.add_argument("--trunc", type=int,
+    p.add_argument("nmax", nargs="?", type=integer)
+    p.add_argument("--max-n", type=integer, dest="max_n")
+    p.add_argument("--trunc", type=integer,
                    help="series truncation for the identities suite; "
                         "each check uses at least n + 2")
     add_format(p)
@@ -276,19 +312,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sequence", help="classical counting sequences")
     p.add_argument("stat", choices=tuple(SEQUENCES))
-    p.add_argument("nmax", nargs="?", type=int)
-    p.add_argument("--max-n", type=int, dest="max_n")
+    p.add_argument("nmax", nargs="?", type=integer)
+    p.add_argument("--max-n", type=integer, dest="max_n")
     add_format(p)
     p.set_defaults(func=cmd_sequence)
 
     p = sub.add_parser("lnk", help="Comtet-style coefficient of f_K at length N")
-    p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("n", type=integer)
+    p.add_argument("k", type=integer)
     add_format(p)
     p.set_defaults(func=cmd_lnk)
 
     p = sub.add_parser("expand", help="normal-ordered (g D_q)^N applied to f")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=integer)
     add_format(p)
     p.set_defaults(func=cmd_expand)
 

@@ -36,22 +36,39 @@ VARIABLES = ("x", "y", "z", "p", "q")
 ExpVec = tuple[int, int, int, int, int]
 
 
-def _format_monomial(key: ExpVec) -> str:
-    parts = []
-    for name, e in zip(VARIABLES, key):
-        if e == 0:
-            continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+def _join_signed(chunks: list[str]) -> str:
+    # chunks: the terms in order, each led by " + " or " - "; the first
+    # sign becomes "" or "-", then the text is joined once
+    if not chunks:
+        return "0"
+    first = chunks[0]
+    chunks[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(chunks)
 
 
-def _join_signed(chunks: list[tuple[int, str]]) -> str:
-    # chunks: (coefficient sign, rendered magnitude)
-    sign, body = chunks[0]
-    text = body if sign >= 0 else "-" + body
-    for sign, body in chunks[1:]:
-        text += (" + " if sign >= 0 else " - ") + body
-    return text
+def format_terms(items: list[tuple[ExpVec, int]]) -> str:
+    """The canonical text of a polynomial from its `sorted_items()`.
+
+    Each monomial is read from per-variable power tables ("", "*x",
+    "*x^2", ... up to the largest exponent), so no term formats an
+    exponent of its own.
+
+    >>> format_terms([((2, 0, 0, 0, 1), 3), ((0, 0, 0, 0, 0), -1)])
+    '3*x^2*q - 1'
+    """
+    top = max((max(key) for key, _ in items), default=0)
+    x, y, z, p, q = [
+        [""] + [f"*{name}" if e == 1 else f"*{name}^{e}"
+                for e in range(1, top + 1)]
+        for name in VARIABLES]
+    chunks = []
+    for (a, b, c, d, e), coeff in items:
+        mono = x[a] + y[b] + z[c] + p[d] + q[e]
+        sign = " - " if coeff < 0 else " + "
+        mag = abs(coeff)
+        chunks.append(sign + mono[1:] if mag == 1 and mono
+                      else f"{sign}{mag}{mono}")
+    return _join_signed(chunks)
 
 
 class TermMap:
@@ -363,20 +380,7 @@ class MultiPoly(TermMap):
     # ------------------------------------------------------------ rendering
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        chunks = []
-        for key, coeff in self.sorted_items():
-            mono = _format_monomial(key)
-            mag = abs(coeff)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            chunks.append((1 if coeff > 0 else -1, body))
-        return _join_signed(chunks)
+        return format_terms(self.sorted_items())
 
     def to_json_terms(self) -> list[dict]:
         """Canonically ordered list of {"coeff", "ex", "ey", "ez", "ep", "eq"}."""
@@ -485,8 +489,6 @@ class QLaurent(TermMap):
     # ------------------------------------------------------------ rendering
 
     def __str__(self):
-        if not self._terms:
-            return "0"
         chunks = []
         for e in sorted(self._terms, reverse=True):
             c = self._terms[e]
@@ -496,5 +498,5 @@ class QLaurent(TermMap):
             else:
                 qpart = "q" if e == 1 else f"q^{e}"
                 body = qpart if mag == 1 else f"{mag}{qpart}"
-            chunks.append((1 if c > 0 else -1, body))
+            chunks.append((" - " if c < 0 else " + ") + body)
         return _join_signed(chunks)

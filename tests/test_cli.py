@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: output text, schema, determinism, exit codes."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -9,11 +12,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import invq
-from invq import oeis
+from invq import cli, oeis
 from invq.cli import SEQUENCES, main
-from invq.polyring import MultiPoly
+from invq.polyring import VARIABLES, MultiPoly, QLaurent
 
 
 def run(capsys, *argv):
@@ -79,16 +84,121 @@ def test_fpoly_usage_errors(capsys):
     for bad in (["--columns", "q=1,,2"], ["--columns", "q="],
                 ["--bind", "x=1,x=2"], ["--bind", "all=1,q=0"],
                 ["--bind", "x=1,,y=1"], ["--bind", ","], ["--bind", "x=1, "],
-                ["--bind", ""], ["--bind", "x=1", "--bind", "x=2"]):
+                ["--bind", ""], ["--bind", "x=1", "--bind", "x=2"],
+                # int() would read these; the command line takes an optional
+                # sign and ASCII digits only
+                ["--bind", "x=1_0"], ["--bind", "x=\u0663"],
+                ["--bind", " x = 1 "], ["--bind", "x= 1"], ["--bind", "x=1 "],
+                ["--bind", "x=1, y=1"], ["--bind", "x=+-1"],
+                ["--columns", "q=1_0"], ["--columns", "q=\u0663"],
+                ["--columns", "q= 1"], ["--columns", "q=1,0 "]):
         code, out, err = run(capsys, "fpoly", "3", *bad)
         assert (code, out) == (2, ""), bad
         assert "error:" in err, bad
+    for bad in ("1_0", "\u0663", " 3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["fpoly", bad])
+        assert exc.value.code == 2, bad
+        assert "error:" in capsys.readouterr().err, bad
+    # a sign is part of an integer
+    assert run(capsys, "fpoly", "2", "--bind", "x=+2,y=-1,z=-1")[:2] == (
+        0, "2*p + 4\n")
     # repeated --bind options merge into one binding
     merged = run(capsys, "fpoly", "3", "--bind", "x=1", "--bind", "y=1",
                  "--format", "json")
     assert merged[0] == 0
     assert merged == run(capsys, "fpoly", "3", "--bind", "x=1,y=1",
                          "--format", "json")
+
+
+# --------------------------------------------- rendering, against references
+
+def render_coeffs():
+    # small values hit the "1 is not printed" rule; wide ones pass 2**64
+    return st.one_of(st.integers(min_value=-3, max_value=3),
+                     st.integers(min_value=-2 ** 80, max_value=2 ** 80),
+                     st.sampled_from([2 ** 64, -2 ** 64, 2 ** 64 + 1]))
+
+
+def render_polys():
+    # exponents past 9 give multi-digit powers; q-only maps are the values
+    # the CLI prints as a QLaurent
+    e = st.integers(min_value=0, max_value=12)
+    keys = st.tuples(e, e, e, e, e)
+    general = st.dictionaries(keys, render_coeffs(), max_size=10)
+    q_only = st.dictionaries(e.map(lambda k: (0, 0, 0, 0, k)),
+                             render_coeffs(), max_size=6)
+    return st.one_of(general, q_only).map(MultiPoly)
+
+
+def _joined(terms):
+    # terms: (sign, body) in order; the first sign is dropped if positive
+    if not terms:
+        return "0"
+    sign, text = terms[0]
+    text = ("-" if sign == "-" else "") + text
+    for sign, body in terms[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+def reference_text(poly):
+    """str(MultiPoly), one term at a time from its exponents."""
+    terms = []
+    for key, coeff in poly.sorted_items():
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(VARIABLES, key) if e]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        terms.append(("-" if coeff < 0 else "+", "*".join(factors)))
+    return _joined(terms)
+
+
+def reference_qtext(f):
+    """str(QLaurent), one term at a time, exponents descending."""
+    terms = []
+    for e in sorted((e for e, _ in f.items()), reverse=True):
+        c = f.coefficient(e)
+        qpart = "" if e == 0 else "q" if e == 1 else f"q^{e}"
+        body = qpart if abs(c) == 1 and qpart else f"{abs(c)}{qpart}"
+        terms.append(("-" if c < 0 else "+", body))
+    return _joined(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(render_polys(),
+       st.dictionaries(st.integers(min_value=-12, max_value=12),
+                       render_coeffs(), max_size=8).map(QLaurent))
+def test_text_matches_reference_renderer(poly, f):
+    assert str(poly) == reference_text(poly)
+    assert str(f) == reference_qtext(f)
+
+
+@settings(max_examples=150, deadline=None)
+@given(render_polys())
+@example(MultiPoly.zero())
+def test_poly_output_matches_term_dicts(poly):
+    """Every format of a polynomial, against the route through
+    to_json_terms(): json.dumps(indent=2) of the envelope, and one csv row
+    per term dict."""
+    params = {"n": 1, "bind": {"q": -2}}
+    shown = poly.as_qlaurent() if poly.support_variables() <= {"q"} else poly
+    terms = poly.to_json_terms()
+    header = ["coeff", "ex", "ey", "ez", "ep", "eq"]
+    expected = {
+        "json": json.dumps({"command": "fpoly", "params": params,
+                            "result": {"text": str(shown), "terms": terms},
+                            "checks": []}, indent=2) + "\n",
+        "csv": "".join(",".join(str(row[k]) for k in header) + "\n"
+                       for row in [dict(zip(header, header))] + terms),
+        "plain": str(shown) + "\n",
+    }
+    for fmt, want in expected.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli._emit_poly(argparse.Namespace(format=fmt), "fpoly",
+                                  params, poly)
+        assert (code, out.getvalue()) == (0, want), fmt
 
 
 # ------------------------------------------------------------------ verify
@@ -248,9 +358,13 @@ def test_freq_csv(capsys):
 
 
 def test_freq_usage(capsys):
-    assert run(capsys, "freq", "0,2")[0] == 2
-    assert run(capsys, "freq", "1,2,x")[0] == 2
-    assert run(capsys, "freq", ",".join(["1"] * 13))[0] == 2
+    for bad in ("0,2", "1,2,x", ",".join(["1"] * 13), "2,,1,0", "2,+-1,0",
+                # int() reads each of these as the valid class 2,1,0
+                "2,1,0_0", "\u0662,1,0", " 2,1,0", "2,1,0 ", "2, 1,0"):
+        code, out, err = run(capsys, "freq", bad)
+        assert (code, out) == (2, ""), bad
+        assert "error:" in err, bad
+    assert run(capsys, "freq", "+2,1,-0")[:2] == (0, "q + 1\n")
 
 
 # ------------------------------------------------------------ golden bytes
@@ -277,6 +391,17 @@ GOLDEN_SHA256 = {
         "d0293e22561cc91933675501bd612e1dae935bfc087a3453b6ef0f8af9ac8fd6",
     "fpoly 5 --columns q=1,0,-1":
         "524215916ff01e9470a0a9ce80fc0b6ba644b37a774fdfb3c33125a7f1cb73fc",
+    "fpoly 10":
+        "592ecf447dbd3d2ce7bd7caf13cb90fa99a9f04a9de7747aac26114014399e5a",
+    "fpoly 10 --format json":
+        "70b63a7c4cdbcc2c7da07b0dfad8d702c47fdbfb769ceec11eef7ef54a241bdf",
+    "fpoly 10 --format csv":
+        "385728a99460876615a822ecc0618cf25da5a35430451b31b67fe98050b4272d",
+    "fpoly 10 --bind y=1,z=1 --format json":
+        "81d94958d9e7436424e3f9466e06b6a44141ee8a897520358feddfb8c3f5c72b",
+    # the zero polynomial: text "0" and an empty terms array
+    "fpoly 4 --bind all=0 --format json":
+        "d766f49ff7ed4076c582c92d3211e54089fd085d3dfeac91d14aab7be48abf4c",
 }
 
 

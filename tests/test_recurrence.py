@@ -62,10 +62,11 @@ def test_packing_bound():
     # coefficient of F_n is positive and at most n!, and they sum to n!;
     # n = 14 is one size past the term hash of joint13
     for n in range(1, 15):
-        coeffs = [c for _, c in joint_poly(n).items()]
+        poly = joint_poly(n)
+        coeffs = [c for _, c in poly.items()]
         assert 0 < min(coeffs) and max(coeffs) <= math.factorial(n)
         assert sum(coeffs) == math.factorial(n)
-    assert joint_poly(14).term_count() == 511_084
+    assert poly.term_count() == 511_084
 
 
 def test_memo_is_consistent():
