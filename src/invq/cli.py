@@ -104,19 +104,12 @@ def _emit(args, command: str, params: dict, result: dict,
                             "\n    ]", tail))
         print(text)
     elif args.format == "csv":
-        for row in csv_rows:
-            print(",".join(str(v) for v in row))
+        import csv  # only csv output pays for the import
+        csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
     else:
         for line in plain_lines:
             print(line)
     return 0
-
-
-def _effective_nmax(args, default: int) -> int:
-    if args.nmax is not None and args.max_n is not None:
-        raise UsageError("give the bound either positionally or via --max-n")
-    value = args.nmax if args.nmax is not None else args.max_n
-    return default if value is None else value
 
 
 # ----------------------------------------------------------------- fpoly
@@ -171,24 +164,23 @@ def cmd_fpoly(args) -> int:
         return _emit(args, "fpoly", {"n": n, "columns": qvalues},
                      {"header": header, "rows": rows}, plain, [header] + rows)
 
-    poly = recurrence.joint_poly(n)
-    if bindings:
-        poly = poly.eval_partial(bindings)
-    return _emit_poly(args, "fpoly", {"n": n, "bind": bindings}, poly)
+    return _emit_poly(args, "fpoly", {"n": n, "bind": bindings},
+                      recurrence.joint_poly(n).eval_partial(bindings))
 
 
 # ----------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    nmax = _effective_nmax(args, default=8)
-    if not 1 <= nmax <= 12:
+    if not 1 <= args.nmax <= 12:
         raise UsageError("bound must be in 1..12")
     if args.trunc is not None:
         if args.suite not in ("identities", "all"):
             raise UsageError("--trunc applies only to verify identities and verify all")
-        if args.trunc < 1:
-            raise UsageError("--trunc must be a positive integer")
-    results = run_suite(args.suite, nmax, args.trunc)
+        # the series checks grow steeply with the truncation: the identities
+        # suite at n = 6 takes about 1.9 s at 40, 5.6 s at 60 and 11 s at 80
+        if not 1 <= args.trunc <= 40:
+            raise UsageError("--trunc must be in 1..40")
+    results = run_suite(args.suite, args.nmax, args.trunc)
     checks = [{"name": r.name, "pass": r.passed, "detail": r.detail}
               for r in results]
     passed = sum(r.passed for r in results)
@@ -199,7 +191,7 @@ def cmd_verify(args) -> int:
     csv_rows = [["name", "pass", "detail"]] + [
         [r.name, str(r.passed).lower(), r.detail] for r in results]
     _emit(args, "verify",
-          {"suite": args.suite, "max_n": nmax, "trunc": args.trunc},
+          {"suite": args.suite, "max_n": args.nmax, "trunc": args.trunc},
           {"passed": passed, "total": len(results), "ok": passed == len(results)},
           plain, csv_rows, checks)
     return 0 if passed == len(results) else 1
@@ -221,17 +213,16 @@ SEQUENCES: dict[str, tuple[int, Callable[[int], int | list[int]]]] = {
 
 def cmd_sequence(args) -> int:
     bound, value = SEQUENCES[args.stat]
-    nmax = _effective_nmax(args, default=min(bound, 8))
-    if not 1 <= nmax <= bound:
+    if not 1 <= args.nmax <= bound:
         raise UsageError(f"bound for {args.stat} must be in 1..{bound}")
-    values = [value(n) for n in range(1, nmax + 1)]
+    values = [value(n) for n in range(1, args.nmax + 1)]
     if isinstance(values[0], list):
         plain = [" ".join(str(v) for v in row) for row in values]
         csv_rows = values
     else:
         plain = [" ".join(str(v) for v in values)]
         csv_rows = [values]
-    return _emit(args, "sequence", {"stat": args.stat, "max_n": nmax},
+    return _emit(args, "sequence", {"stat": args.stat, "max_n": args.nmax},
                  {"values": values}, plain, csv_rows)
 
 
@@ -302,18 +293,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="rerun a module's cross-checks")
     p.add_argument("suite", choices=tuple(SUITES) + ("all",))
-    p.add_argument("nmax", nargs="?", type=integer)
-    p.add_argument("--max-n", type=integer, dest="max_n")
+    p.add_argument("nmax", nargs="?", type=integer, default=8)
     p.add_argument("--trunc", type=integer,
-                   help="series truncation for the identities suite; "
-                        "each check uses at least n + 2")
+                   help="series truncation for the identities suite, "
+                        "1..40; each check uses at least n + 2")
     add_format(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sequence", help="classical counting sequences")
     p.add_argument("stat", choices=tuple(SEQUENCES))
-    p.add_argument("nmax", nargs="?", type=integer)
-    p.add_argument("--max-n", type=integer, dest="max_n")
+    p.add_argument("nmax", nargs="?", type=integer, default=8)
     add_format(p)
     p.set_defaults(func=cmd_sequence)
 

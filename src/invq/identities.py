@@ -47,8 +47,7 @@ def euler_mahonian_poly(n: int) -> MultiPoly:
 
 def eulerian_row(n: int) -> list[int]:
     """Descent distribution of S_n (the q = 1 collapse), k = 0..n-1."""
-    by_x = euler_mahonian_poly(n).eval_partial({"q": 1}).coefficients_in("x")
-    return [by_x[k].constant_value() if k in by_x else 0 for k in range(n)]
+    return euler_mahonian_poly(n).marginal("x", n)
 
 
 def max_displacement_counts(n: int) -> list[int]:

@@ -283,16 +283,11 @@ def valley_distribution(n: int) -> Counter:
     return dyck_distribution(n, attrgetter("valleys"))
 
 
-def peak_sum_distribution(n: int) -> Counter:
-    """Distribution of first plus last peak height (a single peak counts
-    twice), over all paths of semilength n."""
-    return dyck_distribution(
-        n, lambda s: s.first_peak_height + s.last_peak_height)
-
-
 def peak_sum_row(n: int) -> list[int]:
-    """peak_sum_distribution flattened to counts for sums 2, 3, ..., 2n."""
-    dist = peak_sum_distribution(n)
+    """Paths of semilength n by first plus last peak height (a single peak
+    counts twice), as counts for sums 2, 3, ..., 2n."""
+    dist = dyck_distribution(
+        n, lambda s: s.first_peak_height + s.last_peak_height)
     return [dist.get(s, 0) for s in range(2, 2 * n + 1)]
 
 

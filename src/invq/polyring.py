@@ -81,7 +81,8 @@ class TermMap:
     constant term names its key in `_UNIT`; `one`, `constant` and int
     operands are available only there.  `_coeff` admits a coefficient of
     outside input only if its type is exactly `_COEFF` (int, so never a
-    bool; QLaurent for SymExpr).
+    bool; QLaurent for SymExpr, whose `_coeff` first reads an int as a
+    constant).
     """
 
     __slots__ = ("_terms",)
@@ -151,6 +152,10 @@ class TermMap:
     def items(self) -> ItemsView:
         """The (key, coefficient) pairs, unordered, as a read-only view."""
         return self._terms.items()
+
+    def coefficient(self, key) -> int:
+        """The coefficient of one key, checked by `_key`; 0 if absent."""
+        return self._terms.get(self._key(key), 0)
 
     def term_count(self) -> int:
         return len(self._terms)
@@ -254,14 +259,6 @@ class MultiPoly(TermMap):
         return sorted(self._terms.items(),
                       key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
-    def coefficient(self, key: Iterable[int]) -> int:
-        return self._terms.get(tuple(key), 0)
-
-    def degree_in(self, name: str) -> int:
-        """Largest exponent of `name`; 0 for the zero polynomial."""
-        i = VARIABLES.index(name)
-        return max((key[i] for key in self._terms), default=0)
-
     def constant_value(self) -> int:
         """The value of a constant polynomial; error if any variable occurs."""
         for key in self._terms:
@@ -269,13 +266,24 @@ class MultiPoly(TermMap):
                 raise ValueError("polynomial is not constant")
         return self._terms.get(self._UNIT, 0)
 
-    def support_variables(self) -> set[str]:
-        used = set()
-        for key in self._terms:
-            for name, e in zip(VARIABLES, key):
-                if e:
-                    used.add(name)
-        return used
+    def marginal(self, name: str, length: int) -> list[int]:
+        """Coefficient sums by exponent 0 .. length-1 of `name`, every other
+        variable at 1; an exponent >= length is an error, never dropped.
+
+        >>> f = MultiPoly.monomial(3, ex=1, eq=2) + MultiPoly.variable("y")
+        >>> f.marginal("x", 2)
+        [1, 3]
+        """
+        i = VARIABLES.index(name)
+        if type(length) is not int or length < 0:
+            raise ValueError(f"bad length {length!r}")
+        row = [0] * length
+        for key, coeff in self._terms.items():
+            e = key[i]
+            if e >= length:
+                raise ValueError(f"{name}^{e} lies past length {length}")
+            row[e] += coeff
+        return row
 
     # ----------------------------------------------------------- arithmetic
 
@@ -360,17 +368,6 @@ class MultiPoly(TermMap):
             out[(ax, ay, az, ap, eq)] = coeff
         return MultiPoly._raw(out)
 
-    def coefficients_in(self, name: str) -> dict[int, "MultiPoly"]:
-        """Split into {exponent of `name`: polynomial in the other variables}."""
-        i = VARIABLES.index(name)
-        out: dict[int, dict[ExpVec, int]] = {}
-        for key, coeff in self._terms.items():
-            e = key[i]
-            rest = list(key)
-            rest[i] = 0
-            out.setdefault(e, {})[tuple(rest)] = coeff
-        return {e: MultiPoly._raw(terms) for e, terms in out.items()}
-
     def truncate(self, name: str, max_exp: int) -> "MultiPoly":
         """Drop every term whose exponent of `name` exceeds max_exp."""
         i = VARIABLES.index(name)
@@ -430,14 +427,8 @@ class QLaurent(TermMap):
 
     # ------------------------------------------------------------ accessors
 
-    def coefficient(self, e: int) -> int:
-        return self._terms.get(e, 0)
-
     def is_polynomial(self) -> bool:
         return all(e >= 0 for e in self._terms)
-
-    def max_exponent(self) -> int:
-        return max(self._terms, default=0)
 
     # ----------------------------------------------------------- arithmetic
 

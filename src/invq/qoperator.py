@@ -50,15 +50,12 @@ def _format_factor(f: Factor) -> str:
     return text
 
 
-def _as_qlaurent(coeff: QLaurent | int) -> QLaurent:
-    return coeff if isinstance(coeff, QLaurent) else QLaurent.constant(coeff)
-
-
 class SymExpr(TermMap):
     """Finite combination of words with QLaurent coefficients.
 
     Zero coefficients are elided; equality is structural.  There is no
-    constant word, so int operands are refused.
+    constant word, so int operands are refused; an int coefficient is read
+    as a constant QLaurent.
     """
 
     __slots__ = ()
@@ -66,19 +63,21 @@ class SymExpr(TermMap):
     _key = staticmethod(tuple)
     _COEFF = QLaurent
 
-    def __init__(self, terms: dict[Word, QLaurent | int] | None = None):
-        super().__init__({word: _as_qlaurent(coeff)
-                          for word, coeff in (terms or {}).items()})
+    @classmethod
+    def _coeff(cls, coeff):
+        if type(coeff) is int:
+            coeff = QLaurent.constant(coeff)
+        return super()._coeff(coeff)
 
     @classmethod
     def from_word(cls, word: Word, coeff: QLaurent | int = 1) -> "SymExpr":
-        return cls._summed({tuple(word): _as_qlaurent(coeff)})
+        return cls._summed({tuple(word): cls._coeff(coeff)})
 
     def sorted_items(self) -> list[tuple[Word, QLaurent]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0])
 
     def scale(self, coeff: QLaurent | int) -> "SymExpr":
-        coeff = _as_qlaurent(coeff)
+        coeff = self._coeff(coeff)
         return SymExpr._summed({w: c * coeff for w, c in self._terms.items()})
 
     def __str__(self):

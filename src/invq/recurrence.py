@@ -138,6 +138,4 @@ def uel_distribution(n: int) -> list[int]:
     Entry j is the coefficient of z^j in the joint polynomial with
     x = y = p = q = 1.
     """
-    marg = joint_poly(n).eval_partial({"x": 1, "y": 1, "p": 1, "q": 1})
-    by_z = marg.coefficients_in("z")
-    return [by_z[j].constant_value() if j in by_z else 0 for j in range(n)]
+    return joint_poly(n).marginal("z", n)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -182,7 +183,9 @@ def test_poly_output_matches_term_dicts(poly):
     to_json_terms(): json.dumps(indent=2) of the envelope, and one csv row
     per term dict."""
     params = {"n": 1, "bind": {"q": -2}}
-    shown = poly.as_qlaurent() if poly.support_variables() <= {"q"} else poly
+    support = {name for key, _ in poly.items()
+               for name, e in zip(VARIABLES, key) if e}
+    shown = poly.as_qlaurent() if support <= {"q"} else poly
     terms = poly.to_json_terms()
     header = ["coeff", "ex", "ey", "ez", "ep", "eq"]
     expected = {
@@ -234,6 +237,19 @@ def test_verify_csv(capsys):
     assert all(",true," in line for line in lines[1:])
 
 
+def test_verify_csv_fields_are_quoted(capsys):
+    """Each csv row parses into exactly name, pass and detail, and the
+    details read back equal to the json ones (they contain commas)."""
+    code, out, _ = run(capsys, "verify", "all", "4", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    _, text, _ = run(capsys, "verify", "all", "4", "--format", "json")
+    checks = json.loads(text)["checks"]
+    assert rows == [["name", "pass", "detail"]] + [
+        [c["name"], "true", c["detail"]] for c in checks]
+    assert any("," in c["detail"] for c in checks)
+
+
 def test_verify_all(capsys):
     code, out, _ = run(capsys, "verify", "all", "4")
     assert code == 0
@@ -255,16 +271,23 @@ def test_verify_reports_failing_check(capsys, monkeypatch):
 
 def test_verify_usage(capsys):
     assert run(capsys, "verify", "paths", "55")[0] == 2
-    assert run(capsys, "verify", "paths", "5", "--max-n", "6")[0] == 2
+    # the bound is positional only; argparse refuses any other spelling
+    for argv in (["verify", "paths", "5", "--max-n", "6"],
+                 ["sequence", "catalan", "--max-n", "6"]):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 2, argv
     with pytest.raises(SystemExit):
         run(capsys, "verify", "nonsense")
     for bad in (["identities", "3", "--trunc", "0"],
                 ["all", "3", "--trunc", "-5"],
+                ["identities", "3", "--trunc", "41"],
                 ["paths", "3", "--trunc", "10"]):
         code, out, err = run(capsys, "verify", *bad)
         assert (code, out) == (2, ""), bad
         assert "error:" in err, bad
     assert run(capsys, "verify", "identities", "3", "--trunc", "1")[0] == 0
+    assert run(capsys, "verify", "identities", "1", "--trunc", "40")[0] == 0
 
 
 # ---------------------------------------------------------------- sequence
@@ -377,8 +400,9 @@ GOLDEN_SHA256 = {
         "96ef12fd0f105f5ae4d92a3357fd3d1779e31855f4e90fa36208d9f3cf67e917",
     "freq 3,2,1,1,0,0,0 --format json":
         "da035f604194feeb1f75272dbd8a39b251b179ea9acfcf184a0ad2040d268546",
+    # re-recorded when csv fields got quoted: the details contain commas
     "verify all 4 --format csv":
-        "fb974f20263a0633070821c4bad9d9d5d7c6c08c07463d57fa89f662050133d3",
+        "fb7a0fa07af9bf49d6ca9d1902f8ecdb3141d5b1b1e0defbe424d6f23f6cf722",
     "verify identities 6 --trunc 3 --format json":
         "5ba3fe0d7218063b8d36bc4c6dfecad04cacf271bf68a85540a0ec14befa2889",
     "fpoly 6":

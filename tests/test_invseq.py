@@ -193,8 +193,12 @@ def test_brute_class_bounds():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_fixed_freq_sweep_matches_brute(n):
-    for v in frequency_vectors(n):
-        assert fixed_freq_poly(v) == brute_fixed_freq(v), v
+    groups = brute_class_polys(n)
+    vectors = list(frequency_vectors(n))
+    for v in vectors:
+        assert fixed_freq_poly(v) == groups.get(v, QLaurent.zero()), v
+    # brute_fixed_freq reads one class of that same walk
+    assert brute_fixed_freq(vectors[-1]) == fixed_freq_poly(vectors[-1])
 
 
 def test_frequency_vectors_cover_all_sequences():

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invq.polyring import VARIABLES, MultiPoly, QLaurent
@@ -121,6 +121,8 @@ def test_bad_keys_rejected():
                   lambda: QLaurent.q_power(1, True),
                   lambda: QLaurent.one().times_q_power(True),
                   lambda: SymExpr({(g_factor(),): True}),
+                  lambda: X.coefficient((True, 0, 0, 0, 0)),
+                  lambda: QLaurent.one().coefficient(True),
                   lambda: X ** True):
         with pytest.raises(ValueError):
             build()
@@ -205,7 +207,7 @@ def test_scaled_shift_matches_rational_substitution(f, point, n, t):
     # oracle: the shift is p^n * x * f(x/p); evaluate at x = t*p so the
     # substitution stays integral
     _, y0, z0, p0, q0 = point
-    if p0 == 0 or f.degree_in("x") > n:
+    if p0 == 0 or any(key[0] > n for key, _ in f.items()):
         return
     x0 = t * p0
     direct = eval_at(f.scaled_shift(n), (x0, y0, z0, p0, q0))
@@ -221,11 +223,49 @@ def test_dilate_x():
             X.dilate_x(bad)
 
 
-def test_coefficients_in_and_truncate(golden_polys):
-    by_x = golden_polys[2].coefficients_in("x")
-    assert by_x[2] == MultiPoly.monomial(1, ey=1, ez=1)
-    assert by_x[1] == P
-    assert golden_polys[2].truncate("x", 1) == MultiPoly.monomial(1, ex=1, ep=1)
+def test_marginal_and_truncate(golden_polys):
+    f2 = golden_polys[2]  # x^2*y*z + x*p
+    assert f2.marginal("x", 3) == [0, 1, 1]
+    assert f2.marginal("x", 5) == [0, 1, 1, 0, 0]
+    assert f2.marginal("q", 1) == [2]
+    assert MultiPoly.zero().marginal("y", 2) == [0, 0]
+    assert MultiPoly.zero().marginal("y", 0) == []
+    for short in (2, 0):
+        with pytest.raises(ValueError, match="past length"):
+            f2.marginal("x", short)
+    for bad in (-1, 2.0, True):
+        with pytest.raises(ValueError, match="bad length"):
+            f2.marginal("x", bad)
+    with pytest.raises(ValueError):
+        f2.marginal("w", 3)
+    assert f2.truncate("x", 1) == MultiPoly.monomial(1, ex=1, ep=1)
+
+
+def marginal_polys():
+    # small coefficients cancel; large ones pass 2**64
+    keys = st.tuples(*(st.integers(min_value=0, max_value=4) for _ in range(5)))
+    coeffs = st.one_of(st.integers(min_value=-3, max_value=3),
+                       st.integers(min_value=-2 ** 80, max_value=2 ** 80))
+    return st.dictionaries(keys, coeffs, max_size=10).map(MultiPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(marginal_polys(), st.sampled_from(VARIABLES),
+       st.integers(min_value=1, max_value=3))
+@example(MultiPoly.zero(), "x", 1)
+def test_marginal_matches_eval_partial(f, name, extra):
+    """marginal against eval_partial of the other four variables at 1,
+    read coefficient by coefficient."""
+    i = VARIABLES.index(name)
+    degree = max((key[i] for key, _ in f.items()), default=-1)
+    rest = f.eval_partial({v: 1 for v in VARIABLES if v != name})
+    length = degree + extra
+    expected = [rest.coefficient(tuple(e if j == i else 0 for j in range(5)))
+                for e in range(length)]
+    assert f.marginal(name, length) == expected
+    if not f.is_zero():
+        with pytest.raises(ValueError, match="past length"):
+            f.marginal(name, degree)
 
 
 # --------------------------------------------------------- hypothesis ring

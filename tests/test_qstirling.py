@@ -154,7 +154,7 @@ def test_conversion_is_degree_reflection():
     # q -> 1/q then a pure power shift: the coefficient list reverses
     f = stirling2_q(5, 3)
     g = milne_from_standard(5, 3)
-    fc = [f.coefficient(i) for i in range(f.max_exponent() + 1)]
-    gc = [g.coefficient(i) for i in range(g.max_exponent() + 1)]
+    fc = [f.coefficient(i) for i in range(max(e for e, _ in f.items()) + 1)]
+    gc = [g.coefficient(i) for i in range(max(e for e, _ in g.items()) + 1)]
     assert [c for c in fc if c] == [c for c in reversed(gc) if c]
     assert sum(fc) == sum(gc) == stirling2(5, 3)
