@@ -129,10 +129,11 @@ def _emit_poly(args, command: str, params: dict, poly: MultiPoly) -> int:
             "%d,%d,%d,%d,%d,%d" % (c, a, b, z, d, e)
             for (a, b, z, d, e), c in items]))
         return 0
-    # q-only values print in the compact table style (no stars)
-    if all(key[:4] == (0, 0, 0, 0) for key, _ in items):
+    # q-only values print in the compact table style (no stars);
+    # as_qlaurent is the one q-only test and stops at the first other term
+    try:
         text = str(poly.as_qlaurent())
-    else:
+    except ValueError:
         text = format_terms(items)
     if args.format == "plain":
         print(text)

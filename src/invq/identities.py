@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from itertools import compress, count
 from itertools import permutations as _permutations
+from operator import gt
 from typing import Iterator
 
 from .polyring import MultiPoly, QLaurent
@@ -30,12 +32,12 @@ def permutations(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def descent_count(sigma: tuple[int, ...]) -> int:
-    return sum(1 for i in range(len(sigma) - 1) if sigma[i] > sigma[i + 1])
+    return sum(map(gt, sigma, sigma[1:]))
 
 
 def major_index(sigma: tuple[int, ...]) -> int:
     """Sum of descent positions, positions counted from 1."""
-    return sum(i + 1 for i in range(len(sigma) - 1) if sigma[i] > sigma[i + 1])
+    return sum(compress(count(1), map(gt, sigma, sigma[1:])))
 
 
 @cache

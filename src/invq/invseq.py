@@ -18,10 +18,12 @@ x^noz y^tel z^uel p^sum q^inv to each sequence.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from itertools import combinations, starmap
+from operator import gt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .polyring import MultiPoly, QLaurent
-from .qcalc import q_binomial
+from .qcalc import packed_q_binomial, slot_width, unpack
 
 InvSeq = tuple[int, ...]
 
@@ -79,14 +81,7 @@ def inversions(w: Sequence[int]) -> int:
     >>> inversions((2, 0, 2, 1, 0))
     6
     """
-    n = len(w)
-    inv = 0
-    for i in range(n - 1):
-        wi = w[i]
-        for j in range(i + 1, n):
-            if wi > w[j]:
-                inv += 1
-    return inv
+    return sum(starmap(gt, combinations(w, 2)))
 
 
 def sequence_stats(e: Iterable[int]) -> SeqStats:
@@ -153,18 +148,25 @@ def fixed_freq_poly(counts: Iterable[int]) -> QLaurent:
     entries above j) admissible slots and contributes qbinom(m_j, |e|_j).
     A slot deficit makes some factor vanish, so vectors realized by no
     sequence give 0 rather than an error.
+
+    The factors are packed (`qcalc.packed_q_binomial`) and multiplied as
+    ints, then unpacked once.  Every factor has nonnegative coefficients
+    and constant term 1, so no coefficient of a partial product exceeds
+    the one of the full product, which counts sequences of I_n: at most
+    n!, and the slots of `qcalc.slot_width(n)` never carry.
     """
     v = _validate_counts(counts)
     n = len(v)
-    result = QLaurent.one()
+    width = slot_width(n)
+    result = 1
     above = 0  # entries with value > j
     for j in range(n - 1, -1, -1):
         m = n - j - above
         if v[j] > m:
             return QLaurent.zero()
-        result = result * q_binomial(m, v[j])
+        result *= packed_q_binomial(m, v[j], width)
         above += v[j]
-    return result
+    return QLaurent._summed(dict(enumerate(unpack(result, width))))
 
 
 def brute_class_polys(n: int) -> dict[tuple[int, ...], QLaurent]:

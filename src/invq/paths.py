@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cache
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, mul, sub
 from typing import Callable, Hashable, Iterator, NamedTuple
 
 from .invseq import InvSeq, inversion_sequences, sequence_stats, validate
@@ -107,15 +108,10 @@ def path_from_sequence(e: InvSeq) -> LatticePath:
     'ENEENENN'
     """
     e = validate(e)
-    n = len(e)
-    if any(e[i] > e[i + 1] for i in range(n - 1)):
+    rises = list(map(sub, e[1:] + (len(e),), e))  # the last one is >= 1
+    if min(rises) < 0:
         raise ValueError("sequence must be weakly increasing")
-    pieces = []
-    for i in range(n):
-        pieces.append("E")
-        nxt = e[i + 1] if i + 1 < n else n
-        pieces.append("N" * (nxt - e[i]))
-    return "".join(pieces)
+    return "E" + "E".join(map(mul, repeat("N"), rises))
 
 
 def sequence_from_path(word: LatticePath) -> InvSeq:

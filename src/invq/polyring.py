@@ -254,10 +254,12 @@ class MultiPoly(TermMap):
 
     def sorted_items(self) -> list[tuple[ExpVec, int]]:
         # canonical order: total degree descending, then exponent vector
-        # descending lexicographically (x-heavy terms first); keys are
-        # unique, so the reversed sort has no ties to reorder
-        return sorted(self._terms.items(),
-                      key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        # descending lexicographically (x-heavy terms first).  Two stable
+        # sorts: keys are unique, so the first never compares coefficients,
+        # and the second keeps that order within each total degree
+        items = sorted(self._terms.items(), reverse=True)
+        items.sort(key=lambda kv: sum(kv[0]), reverse=True)
+        return items
 
     def constant_value(self) -> int:
         """The value of a constant polynomial; error if any variable occurs."""

@@ -7,6 +7,7 @@ uses the binomial form of D_q^k / [k]_q! directly.
 
 from __future__ import annotations
 
+import math
 from functools import cache
 
 from .polyring import ExpVec, MultiPoly, QLaurent
@@ -48,6 +49,31 @@ def q_binomial(n: int, k: int) -> QLaurent:
     if k == 0 or k == n:
         return QLaurent.one()
     return q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).times_q_power(k)
+
+
+def slot_width(n: int) -> int:
+    """Bytes per q-coefficient when packing q-polynomials whose
+    coefficients are nonnegative and at most n!: bits(n!) + 1 bits, rounded
+    up to whole bytes, so a slot never carries into the next."""
+    return (math.factorial(n).bit_length() + 8) // 8
+
+
+@cache
+def packed_q_binomial(n: int, k: int, width: int) -> int:
+    """qbinom(n, k) as one int, the coefficient of q^s in bytes
+    [s * width, (s + 1) * width) (Kronecker substitution): a product of
+    packed polynomials is one bigint multiply, read back with `unpack`
+    while no coefficient reaches 2**(8 * width)."""
+    bits = 8 * width
+    return sum(c << (bits * e) for e, c in q_binomial(n, k).items())
+
+
+def unpack(poly: int, width: int) -> list[int]:
+    """The q-coefficients of a packed q-polynomial, lowest power first."""
+    data = poly.to_bytes(-(-poly.bit_length() // (8 * width)) * width, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]
 
 
 def q_pochhammer_x(n: int, first_power: int = 0) -> MultiPoly:

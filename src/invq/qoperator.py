@@ -74,7 +74,7 @@ class SymExpr(TermMap):
         return cls._summed({tuple(word): cls._coeff(coeff)})
 
     def sorted_items(self) -> list[tuple[Word, QLaurent]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0])
+        return sorted(self._terms.items())  # words are unique keys
 
     def scale(self, coeff: QLaurent | int) -> "SymExpr":
         coeff = self._coeff(coeff)

@@ -67,7 +67,7 @@ def stirling2(n: int, k: int) -> int:
 
 def is_distinct_nonzero(e: InvSeq) -> bool:
     """True when every nonzero entry of e occurs exactly once."""
-    nonzero = [v for v in e if v]
+    nonzero = list(filter(None, e))
     return len(nonzero) == len(set(nonzero))
 
 

@@ -9,10 +9,8 @@ with the scaled shift x -> x/p, p-degree n.
 
 from __future__ import annotations
 
-import math
-
 from .polyring import ExpVec, MultiPoly, QLaurent
-from .qcalc import q_binomial, t_q
+from .qcalc import packed_q_binomial, slot_width, t_q, unpack
 
 _X = MultiPoly.variable("x")
 _Y = MultiPoly.variable("y")
@@ -44,9 +42,11 @@ def _class_scan(n: int) -> tuple[int, list[_State]]:
     """
     if n < 1:
         raise ValueError("length must be >= 1")
-    width = (math.factorial(n).bit_length() + 8) // 8  # see joint_poly
-    bits = 8 * width
-    packed: dict[tuple[int, int], int] = {}
+    width = slot_width(n)  # see joint_poly
+    # every factor the scan takes, fetched before it starts: the cached
+    # ints then sit apart from the scan's short-lived ones (peak RSS)
+    packed = {(m, v): packed_q_binomial(m, v, width)
+              for m in range(1, n) for v in range(1, m + 1)}
     states: list[_State] = [{(0, 0, 0): 1}]
     for j in range(n - 1, 0, -1):
         states.append({})
@@ -55,24 +55,12 @@ def _class_scan(n: int) -> tuple[int, list[_State]]:
             get = target.get
             for above in range(t):
                 v = t - above
-                m = n - j - above
-                b = packed.get((m, v))
-                if b is None:
-                    b = packed[m, v] = sum(
-                        c << (bits * e) for e, c in q_binomial(m, v).items())
+                b = packed[n - j - above, v]
                 dy, dz, dp = v - 1, 0 if above else n - 1 - j, j * v
                 for (ey, ez, ep), poly in states[above].items():
                     key = (ey + dy, ez + dz, ep + dp)
                     target[key] = get(key, 0) + poly * b
     return width, states
-
-
-def _unpack(poly: int, width: int) -> list[int]:
-    """The q-coefficients of a packed q-polynomial, lowest power first."""
-    data = poly.to_bytes(-(-poly.bit_length() // (8 * width)) * width, "little")
-    from_bytes = int.from_bytes
-    return [from_bytes(data[i:i + width], "little")
-            for i in range(0, len(data), width)]
 
 
 def joint_poly(n: int) -> MultiPoly:
@@ -82,18 +70,19 @@ def joint_poly(n: int) -> MultiPoly:
     q-polynomial into one int, coefficient of q^s in bytes
     [s * width, (s + 1) * width), so that a step is one bigint multiply by
     a packed q-binomial (Kronecker substitution).  A slot of bits(n!) + 1
-    bits, rounded up to whole bytes, never carries into the next: taking
-    v = 0 of a value passes a state on unchanged, so every coefficient of
-    every product and sum along the scan is a summand of a coefficient of
-    F_n, and those are nonnegative and sum to n!.  The zeros fill the
-    n - above slots left; each state unpacks straight into terms of F_n.
+    bits, rounded up to whole bytes (`qcalc.slot_width`), never carries
+    into the next: taking v = 0 of a value passes a state on unchanged, so
+    every coefficient of every product and sum along the scan is a summand
+    of a coefficient of F_n, and those are nonnegative and sum to n!.  The
+    zeros fill the n - above slots left; each state unpacks straight into
+    terms of F_n.
     """
     width, states = _class_scan(n)
     out: dict[ExpVec, int] = {}
     for above, state in enumerate(states):
         ex, dy, dz = n - above, n - above - 1, 0 if above else n - 1
         for (ey, ez, ep), poly in state.items():
-            for eq, c in enumerate(_unpack(poly, width)):
+            for eq, c in enumerate(unpack(poly, width)):
                 if c:
                     out[ex, ey + dy, ez + dz, ep, eq] = c
     return MultiPoly._raw(out)
@@ -104,7 +93,7 @@ def inv_poly(n: int) -> QLaurent:
     every packed state of the class scan, unpacked once."""
     width, states = _class_scan(n)
     total = sum(sum(state.values()) for state in states)
-    return QLaurent._summed(dict(enumerate(_unpack(total, width))))
+    return QLaurent._summed(dict(enumerate(unpack(total, width))))
 
 
 def product_formula(n: int) -> MultiPoly:

@@ -1,0 +1,210 @@
+"""The per-sequence statistics and the packed fixed-frequency product,
+each against the loop it replaced, kept here as the reference."""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from invq.identities import descent_count, major_index, permutations
+from invq.invseq import (
+    _validate_counts,
+    fixed_freq_poly,
+    frequency_vectors,
+    inversion_sequences,
+    inversions,
+    occurrence_counts,
+    validate,
+)
+from invq.paths import path_from_sequence, weakly_increasing_sequences
+from invq.polyring import MultiPoly, QLaurent
+from invq.qcalc import packed_q_binomial, q_binomial, slot_width, unpack
+from invq.qstirling import is_distinct_nonzero
+from invq.recurrence import joint_poly
+
+# ------------------------------------------------------ reference loops
+
+
+def inversions_loop(w):
+    n = len(w)
+    inv = 0
+    for i in range(n - 1):
+        wi = w[i]
+        for j in range(i + 1, n):
+            if wi > w[j]:
+                inv += 1
+    return inv
+
+
+def descent_count_loop(sigma):
+    return sum(1 for i in range(len(sigma) - 1) if sigma[i] > sigma[i + 1])
+
+
+def major_index_loop(sigma):
+    return sum(i + 1 for i in range(len(sigma) - 1) if sigma[i] > sigma[i + 1])
+
+
+def is_distinct_nonzero_loop(e):
+    nonzero = [v for v in e if v]
+    return len(nonzero) == len(set(nonzero))
+
+
+def path_from_sequence_loop(e):
+    e = validate(e)
+    n = len(e)
+    if any(e[i] > e[i + 1] for i in range(n - 1)):
+        raise ValueError("sequence must be weakly increasing")
+    pieces = []
+    for i in range(n):
+        pieces.append("E")
+        nxt = e[i + 1] if i + 1 < n else n
+        pieces.append("N" * (nxt - e[i]))
+    return "".join(pieces)
+
+
+def fixed_freq_poly_product(counts):
+    v = _validate_counts(counts)
+    n = len(v)
+    result = QLaurent.one()
+    above = 0
+    for j in range(n - 1, -1, -1):
+        m = n - j - above
+        if v[j] > m:
+            return QLaurent.zero()
+        result = result * q_binomial(m, v[j])
+        above += v[j]
+    return result
+
+
+def sorted_items_tuple_key(poly):
+    return sorted(poly.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+
+# --------------------------------------------------- exhaustive sweeps
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inversion_sequence_kernels_match_loops(n):
+    for e in inversion_sequences(n):
+        assert inversions(e) == inversions_loop(e), e
+        assert is_distinct_nonzero(e) == is_distinct_nonzero_loop(e), e
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_permutation_kernels_match_loops(n):
+    for sigma in permutations(n):
+        assert descent_count(sigma) == descent_count_loop(sigma), sigma
+        assert major_index(sigma) == major_index_loop(sigma), sigma
+        assert inversions(sigma) == inversions_loop(sigma), sigma
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_path_from_sequence_matches_loop(n):
+    for e in weakly_increasing_sequences(n):
+        assert path_from_sequence(e) == path_from_sequence_loop(e), e
+
+
+# ----------------------------------------------------- random int words
+
+words = st.one_of(st.lists(st.integers(min_value=-4, max_value=4), max_size=20),
+                  st.lists(st.integers(min_value=-4, max_value=4),
+                           max_size=20).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(words)
+@example([])
+@example((7,))
+@example([3, 3, 3])
+@example((-1, -2, 5, -2, 0))
+def test_word_kernels_match_loops(w):
+    assert inversions(w) == inversions_loop(w)
+    assert descent_count(w) == descent_count_loop(w)
+    assert major_index(w) == major_index_loop(w)
+
+
+# ------------------------------------------- path_from_sequence errors
+
+def _outcome(fn, e):
+    try:
+        return fn(e)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_path_from_sequence_errors_match_loop():
+    bad = [(), [], (1,), (0, 2), (0, True), (0, -1), (0, 1.0), (0, 1, 0),
+           (0, 0, 2, 1), [0, 1, 2, 0]]
+    for n in range(1, 7):
+        bad.extend(inversion_sequences(n))  # mostly not weakly increasing
+    for e in bad:
+        assert _outcome(path_from_sequence, e) == \
+            _outcome(path_from_sequence_loop, e), e
+    assert _outcome(path_from_sequence, (0, 1, 0)) == \
+        "ValueError: sequence must be weakly increasing"
+    assert _outcome(path_from_sequence, (0, 2)) == \
+        "ValueError: entry e_1=2 violates 0 <= e_i <= i"
+    assert _outcome(path_from_sequence, ()) == \
+        "ValueError: inversion sequence must be nonempty"
+
+
+# ------------------------------------------------- packed q-binomials
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_fixed_freq_poly_matches_qlaurent_product(n):
+    # every frequency vector, unrealizable ones (value 0) included
+    for v in frequency_vectors(n):
+        assert fixed_freq_poly(v) == fixed_freq_poly_product(v), v
+
+
+def test_packed_q_binomial_round_trip():
+    for n in range(0, 13):
+        width = slot_width(n)
+        for k in range(-1, n + 2):
+            packed = packed_q_binomial(n, k, width)
+            expected = q_binomial(n, k)
+            if not packed:
+                assert expected == QLaurent.zero()
+                continue
+            assert QLaurent(dict(enumerate(unpack(packed, width)))) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_fixed_freq_packing_never_carries(n):
+    # A carry out of a slot lowers the sum of the unpacked coefficients by
+    # a multiple of 2**(8 * width) - 1, so the value at q = 1 matching the
+    # class size prod C(m_j, v_j) shows that no coefficient reached
+    # 2**(8 * width).  Every realizable vector up to n = 10; beyond, every
+    # 23rd and the largest class.
+    bound = 2 ** (8 * slot_width(n))
+    vectors = [occurrence_counts(e) for e in weakly_increasing_sequences(n)]
+
+    def class_size(v):
+        size, above = 1, 0
+        for j in range(n - 1, -1, -1):
+            size *= math.comb(n - j - above, v[j])
+            above += v[j]
+        return size
+
+    if n > 10:
+        vectors = vectors[::23] + [max(vectors, key=class_size)]
+    for v in vectors:
+        poly = fixed_freq_poly(v)
+        assert poly.evaluate(1) == class_size(v), v
+        assert max(c for _, c in poly.items()) < bound
+
+
+# ------------------------------------------------------ canonical order
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(
+    st.tuples(*(st.integers(min_value=0, max_value=4) for _ in range(5))),
+    st.integers(min_value=-9, max_value=9), max_size=30))
+def test_sorted_items_matches_tuple_key(terms):
+    poly = MultiPoly(terms)
+    assert poly.sorted_items() == sorted_items_tuple_key(poly)
+
+
+def test_sorted_items_of_joint_poly():
+    poly = joint_poly(8)
+    assert poly.sorted_items() == sorted_items_tuple_key(poly)
