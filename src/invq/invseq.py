@@ -18,7 +18,7 @@ x^noz y^tel z^uel p^sum q^inv to each sequence.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import combinations, starmap
+from itertools import combinations, product, starmap
 from operator import gt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -56,22 +56,14 @@ def validate(e: Iterable[int]) -> InvSeq:
 
 
 def inversion_sequences(n: int) -> Iterator[InvSeq]:
-    """Yield all of I_n in lexicographic order, for n up to MAX_ENUM_LENGTH."""
+    """All of I_n in lexicographic order, for n up to MAX_ENUM_LENGTH:
+    the product range(1) x range(2) x ... x range(n).  The bounds are
+    checked at the call, before any sequence is made."""
     if n < 1:
         raise ValueError("length must be >= 1")
     if n > MAX_ENUM_LENGTH:
         raise ValueError(f"length {n} above enumeration bound {MAX_ENUM_LENGTH}")
-
-    e = [0] * n
-    while True:
-        yield tuple(e)
-        i = n - 1
-        while i > 0 and e[i] == i:
-            e[i] = 0
-            i -= 1
-        if i <= 0:
-            return
-        e[i] += 1
+    return product(*map(range, range(1, n + 1)))
 
 
 def inversions(w: Sequence[int]) -> int:

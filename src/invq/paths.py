@@ -22,7 +22,7 @@ from itertools import repeat
 from operator import attrgetter, mul, sub
 from typing import Callable, Hashable, Iterator, NamedTuple
 
-from .invseq import InvSeq, inversion_sequences, sequence_stats, validate
+from .invseq import InvSeq, sequence_stats, validate
 from .polyring import MultiPoly
 
 LatticePath = str
@@ -41,8 +41,9 @@ class DyckStats(NamedTuple):
 def weakly_increasing_sequences(n: int) -> Iterator[InvSeq]:
     """The Catalan-many weakly increasing members of I_n, lexicographically.
 
-    The odometer of inversion_sequences with each digit reset to the one
-    before it instead of to 0, so only weakly increasing words are visited.
+    An odometer over the digits e_1 .. e_{n-1}: the last digit below its
+    bound i steps up, and every digit after it is reset to that new value
+    instead of to 0, so only weakly increasing words are visited.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
@@ -198,12 +199,6 @@ def sign_reversing_involution(e: InvSeq) -> InvSeq:
         w[i - 1], w[i] = w[i], w[i - 1]
         return tuple(w)
     return e
-
-
-def involution_fixed_points(n: int) -> list[InvSeq]:
-    """Fixed points of the scan over I_n (lexicographic)."""
-    return [e for e in inversion_sequences(n)
-            if sign_reversing_involution(e) == e]
 
 
 def involution_number(n: int) -> int:

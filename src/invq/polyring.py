@@ -261,13 +261,6 @@ class MultiPoly(TermMap):
         items.sort(key=lambda kv: sum(kv[0]), reverse=True)
         return items
 
-    def constant_value(self) -> int:
-        """The value of a constant polynomial; error if any variable occurs."""
-        for key in self._terms:
-            if key != self._UNIT:
-                raise ValueError("polynomial is not constant")
-        return self._terms.get(self._UNIT, 0)
-
     def marginal(self, name: str, length: int) -> list[int]:
         """Coefficient sums by exponent 0 .. length-1 of `name`, every other
         variable at 1; an exponent >= length is an error, never dropped.
@@ -358,18 +351,6 @@ class MultiPoly(TermMap):
             out[(ax + 1, ay, az, pe, aq)] = coeff
         return MultiPoly._raw(out)
 
-    def dilate_x(self, j: int = 1) -> "MultiPoly":
-        """Substitute x -> q^j * x (termwise x^a gains q^(j*a))."""
-        if type(j) is not int:
-            raise ValueError(f"bad exponent {j!r}")
-        out: dict[ExpVec, int] = {}
-        for (ax, ay, az, ap, aq), coeff in self._terms.items():
-            eq = aq + j * ax
-            if eq < 0:
-                raise ValueError("substitution leaves polynomial ring")
-            out[(ax, ay, az, ap, eq)] = coeff
-        return MultiPoly._raw(out)
-
     def truncate(self, name: str, max_exp: int) -> "MultiPoly":
         """Drop every term whose exponent of `name` exceeds max_exp."""
         i = VARIABLES.index(name)
@@ -390,11 +371,10 @@ class MultiPoly(TermMap):
 
     @classmethod
     def from_json_terms(cls, items: Iterable[Mapping]) -> "MultiPoly":
-        terms: dict[ExpVec, int] = {}
-        for t in items:
-            key = (t["ex"], t["ey"], t["ez"], t["ep"], t["eq"])
-            terms[key] = terms.get(key, 0) + t["coeff"]
-        return cls(terms)
+        """Inverse of to_json_terms; each term passes `_key` and `_coeff`
+        before any sum, and repeated exponent vectors add up."""
+        return cls.sum(cls.monomial(t["coeff"], t["ex"], t["ey"], t["ez"],
+                                    t["ep"], t["eq"]) for t in items)
 
     def as_qlaurent(self) -> "QLaurent":
         """View a q-only polynomial as a QLaurent; error if x,y,z,p occur."""

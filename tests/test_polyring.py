@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from invq.polyring import VARIABLES, MultiPoly, QLaurent
 from invq.qcalc import d_q, t_q
-from invq.qoperator import SymExpr, dq_expr, f_factor, g_factor
+from invq.qoperator import Factor, SymExpr, dq_expr, f_factor, g_factor
 
 X = MultiPoly.variable("x")
 Y = MultiPoly.variable("y")
@@ -34,7 +34,10 @@ def int_points():
 
 
 def eval_at(poly, point):
-    return poly.eval_partial(dict(zip(VARIABLES, point))).constant_value()
+    value = poly.eval_partial(dict(zip(VARIABLES, point)))
+    constant = value.coefficient((0, 0, 0, 0, 0))
+    assert value == constant  # binding every variable leaves no variable
+    return constant
 
 
 # ------------------------------------------------------- shared term map
@@ -110,6 +113,28 @@ def test_bad_keys_rejected():
         SymExpr({(g_factor(),): 1.5})
     with pytest.raises(ValueError):
         SymExpr({(g_factor(),): MultiPoly.one()})
+    # every JSON term passes the key and coefficient checks before any sum
+    term = {"coeff": 1, "ex": 1, "ey": 0, "ez": 0, "ep": 0, "eq": 0}
+    assert MultiPoly.from_json_terms([term, term]) == 2 * X
+    assert MultiPoly.from_json_terms([]) == MultiPoly.zero()
+    for bad in ([{**term, "coeff": True}], [{**term, "coeff": True}] * 2,
+                [{**term, "coeff": "3"}], [{**term, "coeff": 1.0}],
+                [term, {**term, "coeff": "3"}], [{**term, "ex": True}],
+                [{**term, "eq": -1}], [{**term, "ep": "1"}]):
+        with pytest.raises(ValueError):
+            MultiPoly.from_json_terms(bad)
+    # a word is a tuple of g/f Factors with nonnegative int deriv and shift
+    for word in ("ab", (("g", 0, 0),), ("g",), (Factor("h", 0, 0),),
+                 (Factor("g", -1, 0),), (g_factor(shift=-1),),
+                 (g_factor(True),), (f_factor(0, False),), (g_factor(1.0),),
+                 None):
+        with pytest.raises(ValueError, match="bad word"):
+            SymExpr({word: 1})
+        with pytest.raises(ValueError, match="bad word"):
+            SymExpr.from_word(word)
+    with pytest.raises(ValueError, match="bad word"):
+        SymExpr.from_word([g_factor()])
+    assert SymExpr.from_word(()) == SymExpr({(): 1})
     # bool is an int subclass, but never a coefficient, exponent or power
     for build in (lambda: MultiPoly.monomial(True, ex=1),
                   lambda: MultiPoly({(True, 0, 0, 0, 0): 1}),
@@ -213,14 +238,6 @@ def test_scaled_shift_matches_rational_substitution(f, point, n, t):
     direct = eval_at(f.scaled_shift(n), (x0, y0, z0, p0, q0))
     via_sub = p0 ** n * x0 * eval_at(f, (t, y0, z0, p0, q0))
     assert direct == via_sub
-
-
-def test_dilate_x():
-    f = MultiPoly.monomial(3, ex=2, eq=1) + X
-    assert f.dilate_x(2) == MultiPoly.monomial(3, ex=2, eq=5) + MultiPoly.monomial(1, ex=1, eq=2)
-    for bad in (0.5, True):
-        with pytest.raises(ValueError, match="bad exponent"):
-            X.dilate_x(bad)
 
 
 def test_marginal_and_truncate(golden_polys):

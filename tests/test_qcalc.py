@@ -21,6 +21,12 @@ def binary_word_inversions(n, k):
     return QLaurent(total)
 
 
+def dilate_x(f):
+    """f(qx): termwise x^a gains q^a."""
+    return MultiPoly({(a, b, c, d, e + a): coeff
+                      for (a, b, c, d, e), coeff in f.items()})
+
+
 def test_q_int_values():
     assert q_int(0) == QLaurent.zero()
     assert q_int(1) == QLaurent.one()
@@ -102,7 +108,7 @@ def small_x_polys():
 def test_d_q_is_linear_and_leibniz(f, g):
     assert d_q(f + g) == d_q(f) + d_q(g)
     # q-Leibniz: D_q(fg) = D_q(f) g + f(qx) D_q(g)
-    assert d_q(f * g) == d_q(f) * g + f.dilate_x(1) * d_q(g)
+    assert d_q(f * g) == d_q(f) * g + dilate_x(f) * d_q(g)
 
 
 @settings(max_examples=60, deadline=None)

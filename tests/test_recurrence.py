@@ -123,7 +123,7 @@ def test_product_formula_shape():
 def test_p_factorial_is_x1_slice():
     for n in range(1, 8):
         assert product_formula(n).eval_partial({"x": 1}) == p_factorial(n)
-    assert p_factorial(3).eval_partial({"p": 1}).constant_value() == 6
+    assert p_factorial(3).eval_partial({"p": 1}) == 6
 
 
 # ------------------------------------------------------------ distributions
