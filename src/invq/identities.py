@@ -16,7 +16,7 @@ from operator import gt
 from typing import Iterator
 
 from .polyring import MultiPoly, QLaurent
-from .qcalc import q_factorial, q_int, q_pochhammer_x
+from .qcalc import q_binomial, q_factorial, q_int, q_pochhammer_x
 from .qstirling import stirling2_q, stirling2_q_milne
 
 MAX_PERM_LENGTH = 9
@@ -61,13 +61,8 @@ def max_displacement_counts(n: int) -> list[int]:
 
 
 def _q_falling_product(k: int, j: int) -> QLaurent:
-    # [k]_q [k-1]_q ... [k-j+1]_q; zero as soon as the index hits 0
-    if j > k:
-        return QLaurent.zero()
-    result = QLaurent.one()
-    for i in range(k, k - j, -1):
-        result = result * q_int(i)
-    return result
+    # [k]_q [k-1]_q ... [k-j+1]_q = qbinom(k, j) [j]_q!, zero for j > k
+    return q_binomial(k, j) * q_factorial(j)
 
 
 # ----------------------------------------------------------------- checks
@@ -108,36 +103,29 @@ def check_qpower(n: int, kmax: int) -> bool:
 
 
 def _geometric_inverse_pochhammer(n: int, trunc: int) -> MultiPoly:
-    # prod_{i=0}^{n} sum_m x^m q^(i m), truncated to x-degree <= trunc
-    result = MultiPoly.one()
-    for i in range(n + 1):
-        geom = MultiPoly._raw({(m, 0, 0, 0, i * m): 1 for m in range(trunc + 1)})
-        result = (result * geom).truncate("x", trunc)
-    return result
+    # 1 / (x; q)_{n+1} = sum_m qbinom(n + m, m) x^m (q-binomial theorem),
+    # truncated to x-degree <= trunc
+    return MultiPoly._raw({(m, 0, 0, 0, e): c for m in range(trunc + 1)
+                           for e, c in q_binomial(n + m, m).items()})
 
 
-def check_carlitz(n: int, trunc: int, euler_poly: MultiPoly | None = None) -> bool:
+def check_carlitz(n: int, trunc: int) -> bool:
     """Carlitz expansion: (x; q)_{n+1} * sum_{l=0}^{trunc} x^l [l+1]_q^n
-    agrees with the Euler-Mahonian polynomial up to x-degree trunc - n - 1.
-
-    `euler_poly` overrides the enumerated polynomial, so corrupting it is
-    an easy negative control of the comparison itself.
-    """
+    agrees with the Euler-Mahonian polynomial up to x-degree trunc - n - 1."""
     if trunc < n + 2:
         raise ValueError("truncation must be at least n + 2")
     series = MultiPoly.sum((q_int(ell + 1) ** n).to_multipoly()
                            * MultiPoly.monomial(1, ex=ell)
                            for ell in range(trunc + 1))
     lhs = (q_pochhammer_x(n + 1) * series).truncate("x", trunc - n - 1)
-    if euler_poly is None:
-        euler_poly = euler_mahonian_poly(n)
-    return lhs == euler_poly.truncate("x", trunc - n - 1)
+    return lhs == euler_mahonian_poly(n).truncate("x", trunc - n - 1)
 
 
 def check_eu_ma_operator(n: int, trunc: int) -> bool:
     """(x D_q)^n of the truncated geometric series, i.e.
     sum_l [l]_q^n x^l, agrees with x * EulerMahonian_n / (x; q)_{n+1}
-    (inverse expanded geometrically) up to x-degree trunc - n."""
+    (the inverse expanded by the q-binomial theorem) up to x-degree
+    trunc - n."""
     if trunc < n + 2:
         raise ValueError("truncation must be at least n + 2")
     lhs = MultiPoly.sum((q_int(ell) ** n).to_multipoly()

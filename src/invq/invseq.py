@@ -164,13 +164,17 @@ def fixed_freq_poly(counts: Iterable[int]) -> QLaurent:
 def brute_class_polys(n: int) -> dict[tuple[int, ...], QLaurent]:
     """The inversion polynomial of every frequency class met in I_n, from
     one walk of the full enumeration (oracle path).  Vectors realized by
-    no sequence are absent."""
+    no sequence are absent.
+
+    The walk keys each sequence by its sorted form, which has the same
+    frequency vector and is a member of I_n, so only the Catalan-many keys
+    are read with `occurrence_counts` afterwards."""
     if n > 9:
         raise ValueError("brute-force bound is length 9")
     groups: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
     for e in inversion_sequences(n):
-        groups[occurrence_counts(e)][inversions(e)] += 1
-    return {v: QLaurent(c) for v, c in groups.items()}
+        groups[tuple(sorted(e))][inversions(e)] += 1
+    return {occurrence_counts(w): QLaurent(c) for w, c in groups.items()}
 
 
 def brute_fixed_freq(counts: Iterable[int]) -> QLaurent:

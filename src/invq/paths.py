@@ -233,21 +233,12 @@ def narayana_row(n: int) -> list[int]:
 
 
 def returns_triangle_row(n: int) -> list[int]:
-    """Dyck paths of semilength n by number of returns, k = 1..n.
-
-    Built from T(n, k) = T(n-1, k-1) + T(n, k+1) with T(1, 1) = 1,
-    filling each row from k = n downward.
+    """Dyck paths of semilength n by number of returns, k = 1..n: the
+    ballot numbers k C(2n - k - 1, n - 1) / n.
     """
     if n < 1:
         raise ValueError("needs n >= 1")
-    row = [1]  # row for n = 1, index k-1
-    for m in range(2, n + 1):
-        prev = row
-        row = [0] * m
-        row[m - 1] = prev[m - 2]
-        for k in range(m - 1, 0, -1):
-            row[k - 1] = (prev[k - 2] if k >= 2 else 0) + row[k]
-    return row
+    return [k * math.comb(2 * n - k - 1, n - 1) // n for k in range(1, n + 1)]
 
 
 @cache

@@ -10,7 +10,7 @@ with the scaled shift x -> x/p, p-degree n.
 from __future__ import annotations
 
 from .polyring import ExpVec, MultiPoly, QLaurent
-from .qcalc import packed_q_binomial, slot_width, t_q, unpack
+from .qcalc import packed_q_binomial, q_factorial, slot_width, t_q, unpack
 
 _X = MultiPoly.variable("x")
 _Y = MultiPoly.variable("y")
@@ -111,14 +111,11 @@ def product_formula(n: int) -> MultiPoly:
 
 def p_factorial(n: int) -> MultiPoly:
     """[n]_p! = prod_{k=1}^{n} (1 + p + ... + p^(k-1)), the x=1 slice of
-    the product formula."""
+    the product formula: `qcalc.q_factorial(n)` with q^e read as p^e."""
     if n < 0:
         raise ValueError("needs n >= 0")
-    result = MultiPoly.one()
-    for k in range(1, n + 1):
-        result = result * MultiPoly._raw(
-            {(0, 0, 0, i, 0): 1 for i in range(k)})
-    return result
+    return MultiPoly._raw({(0, 0, 0, e, 0): c
+                           for e, c in q_factorial(n).items()})
 
 
 def uel_distribution(n: int) -> list[int]:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from invq import identities
 from invq.identities import (
     check_carlitz,
     check_eu_ma_operator,
@@ -16,10 +17,11 @@ from invq.identities import (
     major_index,
     max_displacement_counts,
     permutations,
+    _geometric_inverse_pochhammer,
     _q_falling_product,
 )
-from invq.polyring import MultiPoly
-from invq.qcalc import q_factorial, q_int
+from invq.polyring import MultiPoly, QLaurent
+from invq.qcalc import q_factorial, q_int, q_pochhammer_x
 
 
 # --------------------------------------------------------------- statistics
@@ -72,6 +74,23 @@ def test_q_falling_product():
     assert _q_falling_product(3, 2) == q_int(3) * q_int(2)
     assert _q_falling_product(2, 3).is_zero()
     assert _q_falling_product(3, 3) == q_factorial(3)
+    # against the product of q-integers; for j > k it meets [0]_q = 0
+    for k in range(9):
+        for j in range(11):
+            expected = QLaurent.one()
+            for i in range(k, max(k - j, -1), -1):
+                expected = expected * q_int(i)
+            assert _q_falling_product(k, j) == expected
+
+
+def test_geometric_inverse_pochhammer_inverts():
+    # the q-binomial series times (x; q)_{n+1} is 1 up to the truncation
+    for n in range(7):
+        for t in range(15):
+            series = _geometric_inverse_pochhammer(n, t)
+            assert series.truncate("x", t) == series
+            assert (q_pochhammer_x(n + 1) * series).truncate("x", t) \
+                == MultiPoly.one()
 
 
 # ------------------------------------------------------------------- checks
@@ -110,12 +129,13 @@ def test_truncation_margin_is_flexible():
         check_eu_ma_operator(3, trunc=4)
 
 
-def test_carlitz_negative_control():
+def test_carlitz_negative_control(monkeypatch):
     # a corrupted Euler-Mahonian polynomial must be caught, proving the
     # comparison is not vacuous
     broken = euler_mahonian_poly(3) + MultiPoly.monomial(1, ex=1, eq=1)
-    assert not check_carlitz(3, trunc=11, euler_poly=broken)
-    assert check_carlitz(3, trunc=11, euler_poly=euler_mahonian_poly(3))
+    assert check_carlitz(3, trunc=11)
+    monkeypatch.setattr(identities, "euler_mahonian_poly", lambda n: broken)
+    assert not check_carlitz(3, trunc=11)
 
 
 def test_check_bounds():

@@ -210,6 +210,17 @@ def test_returns_closed_form():
             assert row[k - 1] == k * math.comb(2 * n - k, n) // (2 * n - k)
 
 
+def test_returns_row_against_catalan():
+    # the row sums to C_n, a first return at the end leaves C_{n-1}
+    # paths, and only the zigzag path returns n times
+    for n in range(1, 41):
+        row = returns_triangle_row(n)
+        assert len(row) == n
+        assert sum(row) == catalan(n)
+        assert row[0] == catalan(n - 1)
+        assert row[-1] == 1
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_triangle_rows_match_enumeration(n):
     returns = returns_distribution(n)

@@ -1,7 +1,10 @@
 """The verification suites themselves must go green at small bounds."""
 
+import math
+
 import pytest
 
+from invq import paths, verify
 from invq.verify import SUITES, run_suite
 
 
@@ -37,3 +40,30 @@ def test_unknown_suite():
 def test_identities_trunc_threads_through():
     results = run_suite("identities", nmax=4, trunc=7)
     assert all(r.passed for r in results)
+
+
+def test_stirling2_oracle_values():
+    # a row of Stirling set numbers, the Bell numbers as row sums, and
+    # m^n = sum_k C(m, k) k! S(n, k), maps counted by their image
+    assert [verify._stirling2(5, k) for k in range(7)] == [0, 1, 15, 25, 10, 1, 0]
+    bell = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
+    for n, b in enumerate(bell):
+        assert sum(verify._stirling2(n, k) for k in range(n + 3)) == b
+        for m in range(6):
+            assert sum(math.comb(m, k) * math.factorial(k) * verify._stirling2(n, k)
+                       for k in range(m + 1)) == m ** n
+
+
+def test_round_trip_fails_on_a_short_walk(monkeypatch):
+    # the paired walk must notice a path missing at the end; the shared
+    # Dyck tally is cleared after, so no short walk stays cached
+    walk = paths.lattice_paths
+    monkeypatch.setattr(paths, "lattice_paths",
+                        lambda n: list(walk(n))[:-1])
+    try:
+        result = next(r for r in run_suite("paths", nmax=5)
+                      if r.name == "paths.bijection_round_trip")
+    finally:
+        paths._dyck_tally.cache_clear()
+    assert not result.passed
+    assert result.detail.startswith("fails at n = 1;")
