@@ -109,15 +109,19 @@ def _geometric_inverse_pochhammer(n: int, trunc: int) -> MultiPoly:
                            for e, c in q_binomial(n + m, m).items()})
 
 
+def _q_power_series(n: int, offset: int, trunc: int) -> MultiPoly:
+    # sum_{l=0}^{trunc} [l + offset]_q^n x^l
+    return MultiPoly._raw({(ell, 0, 0, 0, e): c for ell in range(trunc + 1)
+                           for e, c in (q_int(ell + offset) ** n).items()})
+
+
 def check_carlitz(n: int, trunc: int) -> bool:
     """Carlitz expansion: (x; q)_{n+1} * sum_{l=0}^{trunc} x^l [l+1]_q^n
     agrees with the Euler-Mahonian polynomial up to x-degree trunc - n - 1."""
     if trunc < n + 2:
         raise ValueError("truncation must be at least n + 2")
-    series = MultiPoly.sum((q_int(ell + 1) ** n).to_multipoly()
-                           * MultiPoly.monomial(1, ex=ell)
-                           for ell in range(trunc + 1))
-    lhs = (q_pochhammer_x(n + 1) * series).truncate("x", trunc - n - 1)
+    lhs = (q_pochhammer_x(n + 1) * _q_power_series(n, 1, trunc)).truncate(
+        "x", trunc - n - 1)
     return lhs == euler_mahonian_poly(n).truncate("x", trunc - n - 1)
 
 
@@ -128,9 +132,7 @@ def check_eu_ma_operator(n: int, trunc: int) -> bool:
     trunc - n."""
     if trunc < n + 2:
         raise ValueError("truncation must be at least n + 2")
-    lhs = MultiPoly.sum((q_int(ell) ** n).to_multipoly()
-                        * MultiPoly.monomial(1, ex=ell)
-                        for ell in range(trunc + 1))
+    lhs = _q_power_series(n, 0, trunc)
     rhs = (MultiPoly.variable("x")
            * euler_mahonian_poly(n)
            * _geometric_inverse_pochhammer(n, trunc)).truncate("x", trunc)

@@ -18,14 +18,17 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cache
-from itertools import repeat
-from operator import attrgetter, mul, sub
+from itertools import accumulate, repeat
+from operator import attrgetter, countOf, mul, sub
 from typing import Callable, Hashable, Iterator, NamedTuple
 
-from .invseq import InvSeq, sequence_stats, validate
+from .invseq import InvSeq, validate
 from .polyring import MultiPoly
 
 LatticePath = str
+
+_SWAP = str.maketrans("EN", "NE")
+_STEP = {"E": 1, "N": -1}
 
 
 class DyckStats(NamedTuple):
@@ -139,35 +142,21 @@ def reverse_swap(word: LatticePath) -> LatticePath:
     'EENENNEN'
     """
     validate_path(word)
-    swapped = {"E": "N", "N": "E"}
-    return "".join(swapped[ch] for ch in reversed(word))
+    return word[::-1].translate(_SWAP)
 
 
 def dyck_stats(word: LatticePath) -> DyckStats:
     """Peak, valley and return statistics of the Dyck view of the word.
 
     A peak is an EN factor, a valley an NE factor, a return an N-step
-    landing on the diagonal.  Peak heights are measured at the top.
+    landing on the diagonal (a zero of the running height).  Peak heights
+    are measured at the top: the first peak has every E before the first
+    N below it, the last peak every N after the last E.
     """
     validate_path(word)
-    height = 0
-    peaks = valleys = returns = 0
-    first_peak = last_peak = 0
-    for i, ch in enumerate(word):
-        if ch == "E":
-            height += 1
-            if i and word[i - 1] == "N":
-                valleys += 1
-        else:
-            if word[i - 1] == "E":
-                peaks += 1
-                last_peak = height
-                if peaks == 1:
-                    first_peak = height
-            height -= 1
-            if height == 0:
-                returns += 1
-    return DyckStats(peaks, valleys, returns, first_peak, last_peak)
+    return DyckStats(word.count("EN"), word.count("NE"),
+                     countOf(accumulate(map(_STEP.get, word)), 0),
+                     word.index("N"), len(word) - 1 - word.rindex("E"))
 
 
 # ---------------------------------------------------- q = -1 sign involution
@@ -276,9 +265,10 @@ def peak_sum_row(n: int) -> list[int]:
 def peak_height_poly(n: int) -> MultiPoly:
     """sum over paths of x^(first peak height) * z^(last peak height).
 
-    Computed over weakly increasing sequences: noz gives the first peak
-    height and uel + 1 the last, so this is z * (q = 0 slice of the joint
-    polynomial at y = p = 1).  Symmetric in x and z via reverse_swap.
+    Computed over weakly increasing sequences e: the number of zeros gives
+    the first peak height and n - e[-1] (which is uel + 1) the last, so this
+    is z * (q = 0 slice of the joint polynomial at y = p = 1).  Symmetric
+    in x and z via reverse_swap.
     """
-    return MultiPoly(Counter((s.noz, 0, s.uel + 1, 0, 0) for s in
-                             map(sequence_stats, weakly_increasing_sequences(n))))
+    return MultiPoly(Counter((e.count(0), 0, n - e[-1], 0, 0)
+                             for e in weakly_increasing_sequences(n)))

@@ -77,14 +77,16 @@ def unpack(poly: int, width: int) -> list[int]:
 
 
 def q_pochhammer_x(n: int, first_power: int = 0) -> MultiPoly:
-    """(x q^first_power; q)_n = prod_{i=0}^{n-1} (1 - x q^(first_power+i))."""
+    """(x q^a; q)_n = prod_{i=0}^{n-1} (1 - x q^(a+i)) with a = first_power,
+    read off by Cauchy's q-binomial theorem as
+    sum_k (-1)^k q^(k(k-1)/2 + a k) qbinom(n, k) x^k."""
     if n < 0:
         raise ValueError("q-Pochhammer needs n >= 0")
-    result = MultiPoly.one()
-    x = MultiPoly.variable("x")
-    for i in range(n):
-        result = result * (1 - x * MultiPoly.monomial(1, eq=first_power + i))
-    return result
+    if type(first_power) is not int or first_power < 0:
+        raise ValueError("q-Pochhammer needs an int first_power >= 0")
+    return MultiPoly._raw({(k, 0, 0, 0, k * (k - 1) // 2 + first_power * k + e):
+                           (-1) ** k * c
+                           for k in range(n + 1) for e, c in q_binomial(n, k).items()})
 
 
 def d_q(f: MultiPoly) -> MultiPoly:

@@ -12,16 +12,17 @@ The coefficient of a fixed g-word, with the terminal f factor stripped,
 is a q-analog of the Comtet coefficient; it is computed here three ways
 (expansion extraction, an explicit Gaussian-binomial sum over the
 frequency classes, and a two-term recurrence) and specializes to
-x^k * stirling2_q(n, k) under the geometric-word substitution G_IS_X.
+x^k * stirling2_q(n, k) under the geometric substitution g = 1/(1 - x)
+(substitute_g).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .invseq import brute_class_polys, fixed_freq_poly, occurrence_counts
 from .paths import weakly_increasing_sequences
-from .polyring import MultiPoly, QLaurent, TermMap
+from .polyring import ExpVec, MultiPoly, QLaurent, TermMap
 
 
 class Factor(NamedTuple):
@@ -228,35 +229,26 @@ def comtet_coeff_recurrence(n: int, k: int) -> SymExpr:
 
 # --------------------------------------------------------- specializations
 
-GRule = Callable[[int, int], MultiPoly]
-
-
-def geometric_g_rule(deriv: int, shift: int) -> MultiPoly:
-    """g = 1/(1-x) truncation rule: g_0^(j) -> q^j x, g_1^(j) -> 1,
-    higher derivatives -> 0.  Turns Comtet words into x^k stirling2_q."""
-    if deriv == 0:
-        return MultiPoly.monomial(1, ex=1, eq=shift)
-    if deriv == 1:
-        return MultiPoly.one()
-    return MultiPoly.zero()
-
-
-G_IS_X: GRule = geometric_g_rule
-
-
-def substitute_g(expr: SymExpr, rule: GRule) -> MultiPoly:
-    """Replace every g factor via `rule` and multiply out.
+def substitute_g(expr: SymExpr) -> MultiPoly:
+    """The geometric specialization g = 1/(1 - x), read off each word:
+    g_0^(j) -> q^j x, g_1^(j) -> 1 and higher derivatives -> 0, so a word
+    with a factor of deriv > 1 drops out and any other gives its
+    coefficient times x^a q^b, where a counts its deriv-0 factors and b
+    sums their shifts.  Turns Comtet words into x^k stirling2_q.
 
     Words must be g-only (strip the terminal f first); coefficients must
     be genuine q-polynomials.
     """
-    def expanded(word, coeff):
-        value = coeff.to_multipoly()
-        for f in word:
-            if f.kind != "g":
-                raise ValueError("substitution needs g-only words")
-            if value.is_zero():
-                break
-            value = value * rule(f.deriv, f.shift)
-        return value
-    return MultiPoly.sum(expanded(word, coeff) for word, coeff in expr.items())
+    out: dict[ExpVec, int] = {}
+    for word, coeff in expr.items():
+        terms = coeff.to_multipoly().items()  # refuses a Laurent part
+        if any(f.kind != "g" for f in word):
+            raise ValueError("substitution needs g-only words")
+        if any(f.deriv > 1 for f in word):
+            continue
+        shifts = [f.shift for f in word if f.deriv == 0]
+        a, b = len(shifts), sum(shifts)
+        for (*_, e), c in terms:
+            key = (a, 0, 0, 0, b + e)
+            out[key] = out.get(key, 0) + c
+    return MultiPoly._summed(out)

@@ -3,7 +3,8 @@
 Each check is one row: a name, its own safe length bound, a detail
 template and the identity tested at one length `n`.  A run clamps the
 requested bound to each check's bound (so `verify all 12` never launches
-a 12! permutation sweep) and stops a check at its first failing `n`.
+a 12! permutation sweep) and stops a check at its first failing `n`;
+an exception raised inside a check fails it there.
 Results come back as plain records; rendering belongs to the CLI.
 """
 
@@ -38,14 +39,23 @@ class _Suite:
     def check(self, name: str, bound: int, detail: str,
               holds: Callable[[int], bool], first: int = 1):
         """Record whether `holds(n)` is true for every n from `first` to
-        the clamped bound; `detail` gets that bound in its `{}`."""
+        the clamped bound; `detail` gets that bound in its `{}`.  An
+        exception raised by `holds(n)` fails the check at that n and is
+        named in the detail; the run goes on with the next check."""
         start = time.perf_counter()
         top = max(1, min(self.nmax, bound))
         detail = detail.format(top)
-        failed = next((n for n in range(first, top + 1) if not holds(n)), None)
-        if failed is not None:
-            detail = f"fails at n = {failed}; {detail}"
-        self.results.append(CheckResult(name, failed is None, detail,
+        passed = True
+        for n in range(first, top + 1):
+            try:
+                if holds(n):
+                    continue
+                reason = ""
+            except Exception as exc:
+                reason = f" ({type(exc).__name__}: {exc})"
+            passed, detail = False, f"fails at n = {n}{reason}; {detail}"
+            break
+        self.results.append(CheckResult(name, passed, detail,
                                         time.perf_counter() - start))
 
 
@@ -252,7 +262,7 @@ def run_operator(nmax: int, trunc: int | None = None) -> list[CheckResult]:
     s.check("operator.geometric_specialization", 8,
             "geometric specialization gives x^k stirling2_q, n <= {}",
             lambda n: all(qoperator.substitute_g(
-                qoperator.comtet_coeff_explicit(n, k), qoperator.G_IS_X)
+                qoperator.comtet_coeff_explicit(n, k))
                 == (x ** k) * qstirling.stirling2_q(n, k).to_multipoly()
                 for k in range(1, n + 1)))
     return s.results

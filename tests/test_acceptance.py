@@ -44,7 +44,6 @@ from invq.paths import (
 )
 from invq.polyring import MultiPoly, QLaurent
 from invq.qoperator import (
-    G_IS_X,
     comtet_coeff_explicit,
     comtet_coeff_from_expansion,
     comtet_coeff_recurrence,
@@ -240,7 +239,7 @@ def test_criterion_09_identity_checks():
     with criterion(9, "geometric specialization and identity checks", 120.0):
         for n in range(1, 9):
             for k in range(1, n + 1):
-                value = substitute_g(comtet_coeff_explicit(n, k), G_IS_X)
+                value = substitute_g(comtet_coeff_explicit(n, k))
                 assert value == (MultiPoly.monomial(1, ex=k)
                                  * stirling2_q(n, k).to_multipoly())
             assert check_stirling_euler(n)

@@ -269,6 +269,24 @@ def test_verify_reports_failing_check(capsys, monkeypatch):
     assert len(payload["checks"]) == 5
 
 
+def test_verify_reports_raising_check(capsys, monkeypatch):
+    """An oracle that raises fails its own check, named in the detail; the
+    other rows still print and no traceback escapes."""
+    monkeypatch.setattr("invq.verify._stirling2", lambda n, k: n // 0)
+    code, out, err = run(capsys, "verify", "stirling", "5")
+    assert code == 1
+    assert "Traceback" not in err
+    rows = out.strip().splitlines()
+    assert [row.split()[1] for row in rows[:-1]] == [
+        "stirling.sequence_model", "stirling.family_conversions",
+        "stirling.classical_collapse"]
+    assert rows[0].startswith("PASS") and rows[1].startswith("PASS")
+    assert rows[2].startswith("FAIL")
+    assert ("fails at n = 0 (ZeroDivisionError: integer division or modulo"
+            " by zero); q = 1 collapse") in rows[2]
+    assert rows[-1] == "passed 2/3 checks"
+
+
 def test_verify_usage(capsys):
     assert run(capsys, "verify", "paths", "55")[0] == 2
     # the bound is positional only; argparse refuses any other spelling
@@ -405,6 +423,10 @@ GOLDEN_SHA256 = {
         "fb7a0fa07af9bf49d6ca9d1902f8ecdb3141d5b1b1e0defbe424d6f23f6cf722",
     "verify identities 6 --trunc 3 --format json":
         "5ba3fe0d7218063b8d36bc4c6dfecad04cacf271bf68a85540a0ec14befa2889",
+    "verify identities 6 --trunc 20 --format json":
+        "f140eb871cfbc7a08d4a43694edb2cb15f17a23f0f05ad5140abbc7f66a3bf83",
+    "verify operator 8 --format json":
+        "bf9fd8a582dd0a7993b3c9b48c4642770d1930f1291ff33eac2e902d20de4840",
     "fpoly 6":
         "5b8881733c85fc89068074051dd71b0d7607ba7ed09de417b4002cacd6788883",
     "fpoly 6 --format json":

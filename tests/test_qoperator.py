@@ -8,7 +8,6 @@ from invq.invseq import fixed_freq_poly, frequency_vectors
 from invq.polyring import MultiPoly, QLaurent
 from invq.qoperator import (
     Factor,
-    G_IS_X,
     SymExpr,
     apply_gdq,
     class_word,
@@ -169,16 +168,18 @@ def test_extraction_covers_everything():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_geometric_rule_gives_q_stirling(n):
     for k in range(1, n + 1):
-        value = substitute_g(comtet_coeff_explicit(n, k), G_IS_X)
+        value = substitute_g(comtet_coeff_explicit(n, k))
         expected = MultiPoly.monomial(1, ex=k) * stirling2_q(n, k).to_multipoly()
         assert value == expected
 
 
 def test_geometric_rule_values():
-    assert G_IS_X(0, 0) == MultiPoly.variable("x")
-    assert G_IS_X(0, 3) == MultiPoly.monomial(1, ex=1, eq=3)
-    assert G_IS_X(1, 5) == MultiPoly.one()
-    assert G_IS_X(2, 0) == MultiPoly.zero()
+    def one_factor(deriv, shift):
+        return substitute_g(SymExpr.from_word(w(g_factor(deriv, shift))))
+    assert one_factor(0, 0) == MultiPoly.variable("x")
+    assert one_factor(0, 3) == MultiPoly.monomial(1, ex=1, eq=3)
+    assert one_factor(1, 5) == MultiPoly.one()
+    assert one_factor(2, 0) == MultiPoly.zero()
 
 
 # ------------------------------------------------------------------- errors
@@ -195,7 +196,7 @@ def test_error_paths():
     with pytest.raises(ValueError):
         comtet_coeff_recurrence(3, 4)
     with pytest.raises(ValueError):
-        substitute_g(SymExpr.from_word(w(f_factor())), G_IS_X)
+        substitute_g(SymExpr.from_word(w(f_factor())))
     with pytest.raises(ValueError):
         expansion_from_sequences(0)
 

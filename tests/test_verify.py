@@ -67,3 +67,16 @@ def test_round_trip_fails_on_a_short_walk(monkeypatch):
         paths._dyck_tally.cache_clear()
     assert not result.passed
     assert result.detail.startswith("fails at n = 1;")
+
+
+def test_raising_check_fails_and_the_run_goes_on(monkeypatch):
+    def broken(n, k):
+        raise ArithmeticError("oracle broke")
+    monkeypatch.setattr(verify, "_stirling2", broken)
+    results = run_suite("all", nmax=4)
+    failed = [r for r in results if not r.passed]
+    assert [r.name for r in failed] == ["stirling.classical_collapse"]
+    assert failed[0].detail.startswith(
+        "fails at n = 0 (ArithmeticError: oracle broke); ")
+    names = [r.name for r in results]
+    assert names.index("stirling.classical_collapse") < len(names) - 1
