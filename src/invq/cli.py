@@ -166,7 +166,7 @@ def cmd_fpoly(args) -> int:
                      {"header": header, "rows": rows}, plain, [header] + rows)
 
     return _emit_poly(args, "fpoly", {"n": n, "bind": bindings},
-                      recurrence.joint_poly(n).eval_partial(bindings))
+                      recurrence.joint_poly(n, bindings))
 
 
 # ----------------------------------------------------------------- verify

@@ -120,9 +120,11 @@ def check_carlitz(n: int, trunc: int) -> bool:
     agrees with the Euler-Mahonian polynomial up to x-degree trunc - n - 1."""
     if trunc < n + 2:
         raise ValueError("truncation must be at least n + 2")
-    lhs = (q_pochhammer_x(n + 1) * _q_power_series(n, 1, trunc)).truncate(
-        "x", trunc - n - 1)
-    return lhs == euler_mahonian_poly(n).truncate("x", trunc - n - 1)
+    # series terms past the compared degree cannot reach it
+    keep = trunc - n - 1
+    lhs = (q_pochhammer_x(n + 1) * _q_power_series(n, 1, keep)).truncate(
+        "x", keep)
+    return lhs == euler_mahonian_poly(n).truncate("x", keep)
 
 
 def check_eu_ma_operator(n: int, trunc: int) -> bool:
@@ -132,9 +134,9 @@ def check_eu_ma_operator(n: int, trunc: int) -> bool:
     trunc - n."""
     if trunc < n + 2:
         raise ValueError("truncation must be at least n + 2")
-    lhs = _q_power_series(n, 0, trunc)
+    # each series only to the compared degree; the factor x supplies one
+    keep = trunc - n
     rhs = (MultiPoly.variable("x")
            * euler_mahonian_poly(n)
-           * _geometric_inverse_pochhammer(n, trunc)).truncate("x", trunc)
-    keep = trunc - n
-    return lhs.truncate("x", keep) == rhs.truncate("x", keep)
+           * _geometric_inverse_pochhammer(n, keep - 1)).truncate("x", keep)
+    return _q_power_series(n, 0, keep) == rhs

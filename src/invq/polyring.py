@@ -71,6 +71,16 @@ def format_terms(items: list[tuple[ExpVec, int]]) -> str:
     return _join_signed(chunks)
 
 
+def check_bindings(bindings: Mapping[str, int]) -> None:
+    """Refuse a binding of an unknown variable or to a value that is not an
+    int (a bool included), as every substitution into a MultiPoly does."""
+    for name, v in bindings.items():
+        if name not in VARIABLES:
+            raise ValueError(f"unknown variable {name!r}")
+        if type(v) is not int:
+            raise ValueError(f"bad value {v!r} for {name}")
+
+
 class TermMap:
     """Sparse map from a key to a nonzero exact coefficient.
 
@@ -312,11 +322,7 @@ class MultiPoly(TermMap):
         Unbound variables stay symbolic; binding everything yields a
         constant polynomial.  Unknown names and non-int values are errors.
         """
-        for name, v in bindings.items():
-            if name not in VARIABLES:
-                raise ValueError(f"unknown variable {name!r}")
-            if type(v) is not int:
-                raise ValueError(f"bad value {v!r} for {name}")
+        check_bindings(bindings)
         if not bindings:
             return self
         slots = [(VARIABLES.index(name), v) for name, v in bindings.items()]

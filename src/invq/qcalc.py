@@ -8,6 +8,8 @@ uses the binomial form of D_q^k / [k]_q! directly.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from functools import cache
 
 from .polyring import ExpVec, MultiPoly, QLaurent
@@ -51,11 +53,14 @@ def q_binomial(n: int, k: int) -> QLaurent:
     return q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).times_q_power(k)
 
 
-def slot_width(n: int) -> int:
+def slot_width(n: int, scale: int = 1) -> int:
     """Bytes per q-coefficient when packing q-polynomials whose
-    coefficients are nonnegative and at most n!: bits(n!) + 1 bits, rounded
-    up to whole bytes, so a slot never carries into the next."""
-    return (math.factorial(n).bit_length() + 8) // 8
+    coefficients are nonnegative and at most n! * scale: bits + 1 bits, so
+    a slot never carries into the next, as 8 bytes while that fits (n <= 20
+    at scale 1, read back by one array unpack), else rounded up to whole
+    bytes."""
+    bits = (math.factorial(n) * scale).bit_length() + 1
+    return 8 if bits <= 64 else (bits + 7) // 8
 
 
 @cache
@@ -71,6 +76,12 @@ def packed_q_binomial(n: int, k: int, width: int) -> int:
 def unpack(poly: int, width: int) -> list[int]:
     """The q-coefficients of a packed q-polynomial, lowest power first."""
     data = poly.to_bytes(-(-poly.bit_length() // (8 * width)) * width, "little")
+    if width == 8:  # one C call: an array of 8-byte unsigned ints
+        slots = array("Q")
+        slots.frombytes(data)
+        if sys.byteorder == "big":
+            slots.byteswap()
+        return slots.tolist()
     from_bytes = int.from_bytes
     return [from_bytes(data[i:i + width], "little")
             for i in range(0, len(data), width)]

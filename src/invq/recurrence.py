@@ -9,12 +9,17 @@ with the scaled shift x -> x/p, p-degree n.
 
 from __future__ import annotations
 
-from .polyring import ExpVec, MultiPoly, QLaurent
-from .qcalc import packed_q_binomial, q_factorial, slot_width, t_q, unpack
+from itertools import repeat
+from typing import Mapping
+
+from .polyring import ExpVec, MultiPoly, QLaurent, check_bindings
+from .qcalc import (packed_q_binomial, q_binomial, q_factorial, slot_width,
+                    t_q, unpack)
 
 _X = MultiPoly.variable("x")
 _Y = MultiPoly.variable("y")
 _Z = MultiPoly.variable("z")
+_INV_BIND = {"x": 1, "y": 1, "z": 1, "p": 1}
 
 
 def next_joint_poly(current: MultiPoly, n: int) -> MultiPoly:
@@ -25,12 +30,12 @@ def next_joint_poly(current: MultiPoly, n: int) -> MultiPoly:
     return boundary + ((_Y - 1) * current + t_q(current)).scaled_shift(n)
 
 
-_State = dict[tuple[int, int, int], int]  # (ey, ez, ep) -> packed q-poly
+_State = dict[int, int]  # folded (ey, ez, ep) key -> packed q-poly or int
 
 
-def _class_scan(n: int) -> tuple[int, list[_State]]:
-    """The slot width in bytes and the packed final states of the sum of
-    F_n over frequency classes, indexed by `above`.
+def _class_scan(n: int, bind: Mapping[str, int]) -> tuple[int | None, list[_State]]:
+    """The slot width in bytes (None with q bound) and the final states of
+    the sum of F_n over frequency classes, indexed by `above`.
 
     Values j = n-1 .. 1 are scanned with one state per `above`, the entries
     placed above j.  Taking v >= 1 of the m = n - j - above free slots
@@ -39,61 +44,116 @@ def _class_scan(n: int) -> tuple[int, list[_State]]:
     z^(n-1-j).  Taking v = 0 passes a state on unchanged, so each target t
     is built in place over states[t], largest t first, while its sources
     above < t are still unchanged.
+
+    A state maps the free exponents among y, z and p, folded into the one
+    int (ey * n + ez) * r + ep with r = n(n-1)/2 + 1, to its q-polynomial;
+    a bound variable adds 0 to the key and its value to the step factor,
+    and a step whose factor is 0 is skipped.  With q free the q-polynomial
+    is packed into one int (see joint_poly), which needs every bound value
+    >= 0; with q bound the q-binomials are ints and so is every state.
     """
-    if n < 1:
-        raise ValueError("length must be >= 1")
-    width = slot_width(n)  # see joint_poly
+    y0, z0, p0, q0 = map(bind.get, "yzpq")
+    r = n * (n - 1) // 2 + 1
+    ky = 0 if y0 is not None else n * r
+    kz = 0 if z0 is not None else r
+    kp = 0 if p0 is not None else 1
+    if q0 is not None:
+        width = None
+    else:
+        # each coefficient is a sum of summands of those of F_n, at most n!
+        # in all, each times bound powers of at most y^(n-1) z^(n-1) p^(r-1)
+        y1, z1, p1 = (max(bind.get(v, 1), 1) for v in "yzp")
+        width = slot_width(n, y1 ** (n - 1) * z1 ** (n - 1) * p1 ** (r - 1))
     # every factor the scan takes, fetched before it starts: the cached
     # ints then sit apart from the scan's short-lived ones (peak RSS)
-    packed = {(m, v): packed_q_binomial(m, v, width)
-              for m in range(1, n) for v in range(1, m + 1)}
-    states: list[_State] = [{(0, 0, 0): 1}]
+    factors = {(m, v): (packed_q_binomial(m, v, width) if width
+                        else q_binomial(m, v).evaluate(q0))
+               * (1 if y0 is None else y0 ** (v - 1))
+               for m in range(1, n) for v in range(1, m + 1)}
+    states: list[_State] = [{0: 1}]
     for j in range(n - 1, 0, -1):
         states.append({})
+        pj = 1 if p0 is None else p0 ** j
+        zj = 1 if z0 is None else z0 ** (n - 1 - j)
         for t in range(n - j, 0, -1):
             target = states[t]
             get = target.get
             for above in range(t):
                 v = t - above
-                b = packed[n - j - above, v]
-                dy, dz, dp = v - 1, 0 if above else n - 1 - j, j * v
-                for (ey, ez, ep), poly in states[above].items():
-                    key = (ey + dy, ez + dz, ep + dp)
+                b = factors[n - j - above, v] * pj ** v
+                dk = (v - 1) * ky + j * v * kp
+                if not above:  # the first value taken: z^(n-1-j)
+                    b *= zj
+                    dk += (n - 1 - j) * kz
+                if not b:
+                    continue
+                for key, poly in states[above].items():
+                    key += dk
                     target[key] = get(key, 0) + poly * b
     return width, states
 
 
-def joint_poly(n: int) -> MultiPoly:
-    """Joint distribution polynomial of length n.
+def joint_poly(n: int, bind: Mapping[str, int] | None = None) -> MultiPoly:
+    """Joint distribution polynomial of length n, with the variables of
+    `bind` substituted by ints (`MultiPoly.eval_partial`, its oracle).
 
     A sum over frequency classes (`_class_scan`) whose states pack each
     q-polynomial into one int, coefficient of q^s in bytes
     [s * width, (s + 1) * width), so that a step is one bigint multiply by
-    a packed q-binomial (Kronecker substitution).  A slot of bits(n!) + 1
-    bits, rounded up to whole bytes (`qcalc.slot_width`), never carries
-    into the next: taking v = 0 of a value passes a state on unchanged, so
-    every coefficient of every product and sum along the scan is a summand
-    of a coefficient of F_n, and those are nonnegative and sum to n!.  The
-    zeros fill the n - above slots left; each state unpacks straight into
-    terms of F_n.
+    a packed q-binomial (Kronecker substitution).  A slot of at least
+    bits(n!) + 1 bits, 8 bytes for n <= 20 (`qcalc.slot_width`), never
+    carries into the next: taking v = 0 of a value passes a state on
+    unchanged, so every coefficient of every product and sum along the scan
+    is a summand of a coefficient of F_n, and those are nonnegative and sum
+    to n!.  The zeros
+    fill the n - above slots left, giving x^(n-above) y^(n-above-1), and
+    z^(n-1) when they fill every slot; bound, each of those is a factor of
+    the state.  Unbound, each state unpacks straight into terms of F_n: a
+    product and a sum of q-polynomials with constant term 1, gap-free
+    support and positive coefficients keep all three, so no slot is 0.
+
+    A negative y, z or p with q free cannot be packed; that binding is
+    substituted into the full F_n.
     """
-    width, states = _class_scan(n)
+    if n < 1:
+        raise ValueError("length must be >= 1")
+    bind = dict(bind or {})
+    check_bindings(bind)
+    if "q" not in bind and any(bind.get(v, 0) < 0 for v in "yzp"):
+        return joint_poly(n).eval_partial(bind)
+    width, states = _class_scan(n, bind)
+    r = n * (n - 1) // 2 + 1
+    x0, y0, z0 = map(bind.get, "xyz")
     out: dict[ExpVec, int] = {}
+    get = out.get
     for above, state in enumerate(states):
         ex, dy, dz = n - above, n - above - 1, 0 if above else n - 1
-        for (ey, ez, ep), poly in state.items():
-            for eq, c in enumerate(unpack(poly, width)):
-                if c:
-                    out[ex, ey + dy, ez + dz, ep, eq] = c
-    return MultiPoly._raw(out)
+        scale = 1
+        if x0 is not None:
+            scale, ex = scale * x0 ** ex, 0
+        if y0 is not None:
+            scale, dy = scale * y0 ** dy, 0
+        if z0 is not None:
+            scale, dz = scale * z0 ** dz, 0
+        if not scale:
+            continue
+        for key, poly in state.items():
+            rest, ep = divmod(key, r)
+            ey, ez = divmod(rest, n)
+            cs = unpack(poly, width) if width else (poly,)
+            if not bind:  # distinct terms of F_n, none of them 0
+                out.update(zip(zip(repeat(ex), repeat(ey + dy), repeat(ez + dz),
+                                   repeat(ep), range(len(cs))), cs))
+                continue
+            for eq, c in enumerate(cs):
+                term = (ex, ey + dy, ez + dz, ep, eq)
+                out[term] = get(term, 0) + c * scale
+    return MultiPoly._summed(out) if bind else MultiPoly._raw(out)
 
 
 def inv_poly(n: int) -> QLaurent:
-    """Inversion-count marginal: everything but q bound to 1, the sum of
-    every packed state of the class scan, unpacked once."""
-    width, states = _class_scan(n)
-    total = sum(sum(state.values()) for state in states)
-    return QLaurent._summed(dict(enumerate(unpack(total, width))))
+    """Inversion-count marginal: everything but q bound to 1."""
+    return joint_poly(n, _INV_BIND).as_qlaurent()
 
 
 def product_formula(n: int) -> MultiPoly:
@@ -124,4 +184,4 @@ def uel_distribution(n: int) -> list[int]:
     Entry j is the coefficient of z^j in the joint polynomial with
     x = y = p = q = 1.
     """
-    return joint_poly(n).marginal("z", n)
+    return joint_poly(n, {"x": 1, "y": 1, "p": 1, "q": 1}).marginal("z", n)

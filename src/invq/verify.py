@@ -71,9 +71,10 @@ def run_recurrence(nmax: int, trunc: int | None = None) -> list[CheckResult]:
                       MultiPoly.variable("x")))
 
     def product(n):
-        marg = recurrence.joint_poly(n).eval_partial({"y": 1, "z": 1, "q": 1})
-        return (marg == recurrence.product_formula(n)
-                and marg.eval_partial({"x": 1}) == recurrence.p_factorial(n))
+        bind = {"y": 1, "z": 1, "q": 1}
+        return (recurrence.joint_poly(n, bind) == recurrence.product_formula(n)
+                and recurrence.joint_poly(n, {"x": 1, **bind})
+                == recurrence.p_factorial(n))
     s.check("recurrence.product_formula", 9,
             "(x, p) marginal vs closed product, n <= {}", product)
 
@@ -87,7 +88,8 @@ def run_recurrence(nmax: int, trunc: int | None = None) -> list[CheckResult]:
 
     s.check("recurrence.eulerian_marginal", 8,
             "y marginal equals the descent distribution, n <= {}",
-            lambda n: recurrence.joint_poly(n).marginal("y", n)
+            lambda n: recurrence.joint_poly(
+                n, {"x": 1, "z": 1, "p": 1, "q": 1}).marginal("y", n)
             == identities.eulerian_row(n))
 
     s.check("recurrence.uel_vs_displacement", 8,
@@ -144,13 +146,11 @@ def run_paths(nmax: int, trunc: int | None = None) -> list[CheckResult]:
                               for k, c in poly.items()})
         brute = paths.dyck_distribution(
             n, attrgetter("first_peak_height", "last_peak_height"))
-        # the q = 0 tie reads F_n, so it stays within the recurrence's bound 8
         return (poly == mirrored
                 and poly == MultiPoly({(a, 0, b, 0, 0): c
                                        for (a, b), c in brute.items()})
-                and (n > 8 or poly == MultiPoly.variable("z")
-                     * recurrence.joint_poly(n).eval_partial(
-                         {"y": 1, "p": 1, "q": 0})))
+                and poly == MultiPoly.variable("z") * recurrence.joint_poly(
+                    n, {"y": 1, "p": 1, "q": 0}))
     s.check("paths.peak_height_poly", 9,
             "peak-height polynomial symmetry and q = 0 tie, n <= {}", peak_poly)
     return s.results

@@ -112,6 +112,18 @@ def test_fpoly_usage_errors(capsys):
                          "--format", "json")
 
 
+@pytest.mark.parametrize("bind,message", [
+    ("w=1", "unknown variable 'w' in --bind"),
+    ("x=oops", "binding 'x=oops' is not var=integer"),
+    ("x=1,,y=1", "empty slot in --bind"),
+    ("x=1,x=2", "variable 'x' bound twice in --bind"),
+    ("all=1,q=0", "variable 'q' bound twice in --bind"),
+])
+def test_fpoly_bind_error_text(capsys, bind, message):
+    assert run(capsys, "fpoly", "9", "--bind", bind) == (
+        2, "", f"error: {message}\n")
+
+
 # --------------------------------------------- rendering, against references
 
 def render_coeffs():
@@ -448,6 +460,20 @@ GOLDEN_SHA256 = {
     # the zero polynomial: text "0" and an empty terms array
     "fpoly 4 --bind all=0 --format json":
         "d766f49ff7ed4076c582c92d3211e54089fd085d3dfeac91d14aab7be48abf4c",
+    # bindings recorded from eval_partial of the full F_n, one per route of
+    # the bound class scan: q bound (int states); a negative y with q free
+    # (the eval_partial fallback); x and q bound; a value past 1 with q
+    # free (the wide slots); x, y, z and p bound to 1 (inv_poly's binding)
+    "fpoly 8 --bind q=-1 --format json":
+        "ed4ce6f3c0581c0521f1118401cb9d6d3c8ac3b29ee6dad25d677d9b5b34c299",
+    "fpoly 8 --bind y=-1,p=2 --format csv":
+        "cdd9cc196353c72bc08f214e8c37f842845027410ad7ae98c81185c817fe4ece",
+    "fpoly 9 --bind x=2,q=0 --format csv":
+        "99384a44b4a99a02554d2d682a8f00e79de2624d277d083dacf6e2fa69bdc091",
+    "fpoly 9 --bind y=3 --format csv":
+        "b45fd61ef7d2f6d33006d05e631903d410d1e5000c7c95dfee6d5e70f01ed585",
+    "fpoly 10 --bind x=1,y=1,z=1,p=1 --format json":
+        "a8be067a2a98ded17ee09baa3c3594ab8b7e81fba72c98aebcf4bfb1b80ed678",
 }
 
 

@@ -77,6 +77,12 @@ def fixed_freq_poly_product(counts):
     return result
 
 
+def unpack_loop(poly, width):
+    data = poly.to_bytes(-(-poly.bit_length() // (8 * width)) * width, "little")
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]
+
+
 def sorted_items_tuple_key(poly):
     return sorted(poly.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
@@ -167,6 +173,31 @@ def test_packed_q_binomial_round_trip():
                 assert expected == QLaurent.zero()
                 continue
             assert QLaurent(dict(enumerate(unpack(packed, width)))) == expected
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_unpack_matches_loop(width):
+    # width 8 reads through one array; zeros inside and a full top slot too
+    top = 2 ** (8 * width) - 1
+    for coeffs in ([], [0], [1], [top], [5, 0, 0, top, 1], [0, 3, 0],
+                   list(range(1, 40))):
+        packed = sum(c << (8 * width * e) for e, c in enumerate(coeffs))
+        got = unpack(packed, width)
+        assert got == unpack_loop(packed, width), (width, coeffs)
+        assert type(got) is list and all(type(c) is int for c in got)
+        while coeffs and not coeffs[-1]:
+            coeffs = coeffs[:-1]
+        assert got == coeffs
+
+
+def test_slot_width_rule():
+    # bits(n! * scale) + 1 bits: 8 bytes while they fit, then whole bytes
+    for n in range(1, 40):
+        for scale in (1, 3 ** 10, 10 ** 30):
+            bits = (math.factorial(n) * scale).bit_length() + 1
+            width = slot_width(n, scale)
+            assert width == (8 if bits <= 64 else -(-bits // 8)), (n, scale)
+    assert [slot_width(n) for n in (1, 20, 21, 22)] == [8, 8, 9, 9]
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -1,11 +1,16 @@
 """Class sum and length-extension recurrence for the joint polynomial."""
 
 import math
+import re
+from functools import cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from invq.identities import eulerian_row
 from invq.invseq import brute_joint_poly, inversion_sequences, sequence_stats
+from invq.paths import catalan, involution_number
 from invq.polyring import MultiPoly, QLaurent
 from invq.qcalc import q_binomial
 from invq.recurrence import (
@@ -58,9 +63,10 @@ def test_class_sum_matches_recurrence_chain():
 
 
 def test_packing_bound():
-    # the class scan packs each q-coefficient into bits(n!) + 1 bits: every
-    # coefficient of F_n is positive and at most n!, and they sum to n!;
-    # n = 14 is one size past the term hash of joint13
+    # the class scan packs each q-coefficient into at least bits(n!) + 1
+    # bits: every coefficient of F_n is at most n!, and they sum to n!; it
+    # unpacks every slot with no zero filter, so none may be 0; n = 14 is
+    # one size past the term hash of joint13
     for n in range(1, 15):
         poly = joint_poly(n)
         coeffs = [c for _, c in poly.items()]
@@ -76,6 +82,69 @@ def test_memo_is_consistent():
     assert next_joint_poly(next_joint_poly(b, 3), 4) == a
 
 
+# ------------------------------------------------------------ bound scans
+
+@cache
+def full_poly(n):
+    return joint_poly(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=9),
+       st.dictionaries(st.sampled_from("xyzpq"),
+                       st.integers(min_value=-2, max_value=3)))
+# each bound factor once on its own, at a value whose powers all differ
+@example(8, {"x": 2})
+@example(8, {"y": 2})
+@example(8, {"z": 2})
+@example(8, {"p": 2})
+@example(8, {"q": 2})
+# a negative value with q free takes the substitution into F_n
+@example(6, {"y": -1, "p": 2})
+def test_bound_scan_matches_eval_partial(n, bind):
+    assert joint_poly(n, bind) == full_poly(n).eval_partial(bind)
+
+
+def test_bound_scan_takes_wide_slots():
+    # 7! * 100^21 takes 20-byte slots; 8-byte ones would carry
+    for bind in ({"p": 100}, {"y": 1000, "z": 1000}, {"x": -5, "p": 100}):
+        assert joint_poly(7, bind) == full_poly(7).eval_partial(bind), bind
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_int_scan_specializations(n):
+    # q bound: every state is an int, no packing at any n
+    def value(q):
+        poly = joint_poly(n, {"x": 1, "y": 1, "z": 1, "p": 1, "q": q})
+        return poly.coefficient((0, 0, 0, 0, 0))
+    assert value(1) == math.factorial(n)
+    assert value(0) == catalan(n)
+    assert value(-1) == involution_number(n)
+
+
+@pytest.mark.parametrize("bind,message", [
+    ({"w": 1}, "unknown variable 'w'"),
+    ({"x": 1, "Q": 0}, "unknown variable 'Q'"),
+    ({"y": 1.0}, "bad value 1.0 for y"),
+    ({"q": "0"}, "bad value '0' for q"),
+    ({"z": True}, "bad value True for z"),
+])
+def test_bound_scan_refuses_bad_bindings(bind, message):
+    # the same refusal, word for word, as the substitution it replaces
+    for route in (lambda: joint_poly(3, bind),
+                  lambda: joint_poly(3).eval_partial(bind)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            route()
+
+
+def test_bound_scan_refuses_short_lengths():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            joint_poly(n, {"q": 1})
+        with pytest.raises(ValueError, match="length must be >= 1"):
+            inv_poly(n)
+
+
 # ---------------------------------------------------------------- marginals
 
 @pytest.mark.parametrize("n,coeffs", INV_TABLE.items())
@@ -84,7 +153,7 @@ def test_inv_marginal_table(n, coeffs):
     assert inv_poly(n) == QLaurent({top - i: c for i, c in enumerate(coeffs)})
 
 
-@pytest.mark.parametrize("n", range(1, 12))
+@pytest.mark.parametrize("n", range(1, 14))
 def test_inv_poly_is_joint_poly_marginal(n):
     # read off the packed class scan; the old definition is the oracle
     assert inv_poly(n) == joint_poly(n).eval_partial(
