@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import compress, count
+from itertools import compress, count, repeat
 from itertools import permutations as _permutations
-from operator import gt
+from operator import gt, sub
 from typing import Iterator
 
 from .polyring import MultiPoly, QLaurent
@@ -54,10 +54,9 @@ def eulerian_row(n: int) -> list[int]:
 
 def max_displacement_counts(n: int) -> list[int]:
     """Permutations of n by max(sigma_i - i), value k = 0..n-1."""
-    counts = [0] * n
-    for sigma in permutations(n):
-        counts[max(v - i for i, v in enumerate(sigma, start=1))] += 1
-    return counts
+    counts = Counter(map(max, map(map, repeat(sub), permutations(n),
+                                  repeat(range(1, n + 1)))))
+    return [counts[k] for k in range(n)]
 
 
 def _q_falling_product(k: int, j: int) -> QLaurent:

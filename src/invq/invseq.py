@@ -18,7 +18,7 @@ x^noz y^tel z^uel p^sum q^inv to each sequence.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from itertools import combinations, product, starmap
+from itertools import combinations, product, repeat, starmap
 from operator import gt
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -76,6 +76,16 @@ def inversions(w: Sequence[int]) -> int:
     return sum(starmap(gt, combinations(w, 2)))
 
 
+def inversion_counts(words: Iterable[Sequence[int]]) -> Iterator[int]:
+    """`inversions` of each word in turn, with the walk mapped in C too:
+    no Python frame per word.
+
+    >>> list(inversion_counts([(2, 0, 2, 1, 0), (), (0, 1)]))
+    [6, 0, 0]
+    """
+    return map(sum, map(starmap, repeat(gt), map(combinations, words, repeat(2))))
+
+
 def sequence_stats(e: Iterable[int]) -> SeqStats:
     """All five statistics (plus dist and maxent) in one pass.
 
@@ -107,12 +117,39 @@ def format_sequence(e: Iterable[int]) -> str:
     return ",".join(str(v) for v in e)
 
 
+def _class_tally(n: int) -> dict[bytes, dict[int, int]]:
+    """I_n grouped by sorted form: {sorted e: {inv: count}}, from one
+    pass (not cached) over two walks of I_n in step, the inversions of each
+    sequence taken by `inversion_counts`.
+
+    Sorting keeps the multiset of entries, so the frequency vector and the
+    noz, tel, uel and sum statistics, and the sorted form is itself a
+    member of I_n.  It is kept as bytes (every entry is below n <= 12),
+    under half the size of a tuple: the counter of (sorted form, inv)
+    pairs and the tally built from it are the walk's peak memory.  Keys
+    come in the order the walk first meets them."""
+    pairs = Counter(zip(map(bytes, map(sorted, inversion_sequences(n))),
+                        inversion_counts(inversion_sequences(n))))
+    tally: defaultdict[bytes, dict[int, int]] = defaultdict(dict)
+    for (w, inv), c in pairs.items():
+        tally[w][inv] = c
+    return tally
+
+
 def brute_joint_poly(n: int) -> MultiPoly:
-    """Sum of x^noz y^tel z^uel p^sum q^inv over all of I_n, by enumeration."""
+    """Sum of x^noz y^tel z^uel p^sum q^inv over all of I_n, by enumeration:
+    the statistics other than inv are read off each sorted form of
+    `_class_tally`.  Classes can share those, so their counts are summed."""
     if n < 1 or n > MAX_BRUTE_LENGTH:
         raise ValueError(f"length must be in 1..{MAX_BRUTE_LENGTH}")
-    return MultiPoly(Counter((s.noz, s.tel, s.uel, s.sum, s.inv)
-                             for s in map(sequence_stats, inversion_sequences(n))))
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for w, invs in _class_tally(n).items():
+        noz, tel, uel, total = w.count(0), n - len(set(w)), n - w[-1] - 1, sum(w)
+        for inv, c in invs.items():
+            key = (noz, tel, uel, total, inv)
+            out[key] = get(key, 0) + c
+    return MultiPoly._raw(out)
 
 
 def _validate_counts(counts: Iterable[int]) -> tuple[int, ...]:
@@ -162,19 +199,13 @@ def fixed_freq_poly(counts: Iterable[int]) -> QLaurent:
 
 
 def brute_class_polys(n: int) -> dict[tuple[int, ...], QLaurent]:
-    """The inversion polynomial of every frequency class met in I_n, from
-    one walk of the full enumeration (oracle path).  Vectors realized by
-    no sequence are absent.
-
-    The walk keys each sequence by its sorted form, which has the same
-    frequency vector and is a member of I_n, so only the Catalan-many keys
-    are read with `occurrence_counts` afterwards."""
+    """The inversion polynomial of every frequency class met in I_n, read
+    off `_class_tally` (oracle path): only its Catalan-many sorted keys are
+    read with `occurrence_counts`.  Vectors realized by no sequence are
+    absent."""
     if n > 9:
         raise ValueError("brute-force bound is length 9")
-    groups: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
-    for e in inversion_sequences(n):
-        groups[tuple(sorted(e))][inversions(e)] += 1
-    return {occurrence_counts(w): QLaurent(c) for w, c in groups.items()}
+    return {occurrence_counts(w): QLaurent(c) for w, c in _class_tally(n).items()}
 
 
 def brute_fixed_freq(counts: Iterable[int]) -> QLaurent:

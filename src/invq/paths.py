@@ -173,7 +173,11 @@ def sign_reversing_involution(e: InvSeq) -> InvSeq:
     >>> sign_reversing_involution((0, 0, 0, 1))
     (0, 0, 1, 0)
     """
-    e = validate(e)
+    return _involution_core(validate(e))
+
+
+def _involution_core(e: InvSeq) -> InvSeq:
+    """sign_reversing_involution of a tuple already known to be in I_n."""
     w = list(e)
     i = len(w) - 1
     while i >= 1:

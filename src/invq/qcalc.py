@@ -53,6 +53,21 @@ def q_binomial(n: int, k: int) -> QLaurent:
     return q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).times_q_power(k)
 
 
+def q_pascal(n: int, q0: int) -> list[list[int]]:
+    """Rows 0..n of the Gaussian binomials at q = q0 as ints: row m lists
+    qbinom(m, k) at q0 for k = 0..m, by the same Pascal recurrence as
+    `q_binomial`, qbinom(m, k) = qbinom(m-1, k-1) + q0^k qbinom(m-1, k)."""
+    if n < 0:
+        raise ValueError("q-Pascal table needs n >= 0")
+    powers = [q0 ** k for k in range(n + 1)]
+    rows = [[1]]
+    for m in range(1, n + 1):
+        prev = rows[-1]
+        rows.append([1, *(prev[k - 1] + powers[k] * prev[k]
+                          for k in range(1, m)), 1])
+    return rows
+
+
 def slot_width(n: int, scale: int = 1) -> int:
     """Bytes per q-coefficient when packing q-polynomials whose
     coefficients are nonnegative and at most n! * scale: bits + 1 bits, so

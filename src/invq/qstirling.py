@@ -12,9 +12,12 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
+from itertools import filterfalse, repeat, tee
+from operator import countOf
 from typing import Iterator
 
-from .invseq import MAX_ENUM_LENGTH, InvSeq, inversions, validate
+from .invseq import (MAX_ENUM_LENGTH, InvSeq, inversion_counts, inversions,
+                     validate)
 from .polyring import QLaurent
 from .qcalc import q_int
 
@@ -76,8 +79,7 @@ def excluded_values(e: InvSeq) -> tuple[int, ...]:
     e = validate(e)
     if not is_distinct_nonzero(e):
         raise ValueError("nonzero entries must be pairwise distinct")
-    used = {v for v in e if v}
-    return tuple(v for v in range(1, len(e)) if v not in used)
+    return tuple(filterfalse(set(e).__contains__, range(1, len(e))))
 
 
 def augmented_word(e: InvSeq) -> tuple[int, ...]:
@@ -140,10 +142,14 @@ def zero_marked_sequences(n: int, k: int) -> Iterator[InvSeq]:
 @cache
 def _augmented_by_zero_count(n: int) -> list[QLaurent]:
     """Entry k: the augmented-inversion polynomial of the members with k
-    zeros, for every k from one walk."""
-    counts = [Counter() for _ in range(n + 1)]
-    for e in distinct_nonzero_sequences(n):
-        counts[e.count(0)][augmented_inversions(e)] += 1
+    zeros, for every k from one walk; `augmented_word` validates each
+    member, and `inversion_counts` counts the words."""
+    walk, again = tee(distinct_nonzero_sequences(n))
+    pairs = Counter(zip(map(countOf, walk, repeat(0)),
+                        inversion_counts(map(augmented_word, again))))
+    counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for (k, inv), c in pairs.items():
+        counts[k][inv] = c
     return [QLaurent(c) for c in counts]
 
 

@@ -13,8 +13,8 @@ from itertools import repeat
 from typing import Mapping
 
 from .polyring import ExpVec, MultiPoly, QLaurent, check_bindings
-from .qcalc import (packed_q_binomial, q_binomial, q_factorial, slot_width,
-                    t_q, unpack)
+from .qcalc import (packed_q_binomial, q_factorial, q_pascal, slot_width, t_q,
+                    unpack)
 
 _X = MultiPoly.variable("x")
 _Y = MultiPoly.variable("y")
@@ -50,7 +50,8 @@ def _class_scan(n: int, bind: Mapping[str, int]) -> tuple[int | None, list[_Stat
     a bound variable adds 0 to the key and its value to the step factor,
     and a step whose factor is 0 is skipped.  With q free the q-polynomial
     is packed into one int (see joint_poly), which needs every bound value
-    >= 0; with q bound the q-binomials are ints and so is every state.
+    >= 0; with q bound the q-binomials are ints, read off one
+    `qcalc.q_pascal` table, and so is every state.
     """
     y0, z0, p0, q0 = map(bind.get, "yzpq")
     r = n * (n - 1) // 2 + 1
@@ -58,7 +59,7 @@ def _class_scan(n: int, bind: Mapping[str, int]) -> tuple[int | None, list[_Stat
     kz = 0 if z0 is not None else r
     kp = 0 if p0 is not None else 1
     if q0 is not None:
-        width = None
+        width, pascal = None, q_pascal(n - 1, q0)
     else:
         # each coefficient is a sum of summands of those of F_n, at most n!
         # in all, each times bound powers of at most y^(n-1) z^(n-1) p^(r-1)
@@ -67,7 +68,7 @@ def _class_scan(n: int, bind: Mapping[str, int]) -> tuple[int | None, list[_Stat
     # every factor the scan takes, fetched before it starts: the cached
     # ints then sit apart from the scan's short-lived ones (peak RSS)
     factors = {(m, v): (packed_q_binomial(m, v, width) if width
-                        else q_binomial(m, v).evaluate(q0))
+                        else pascal[m][v])
                * (1 if y0 is None else y0 ** (v - 1))
                for m in range(1, n) for v in range(1, m + 1)}
     states: list[_State] = [{0: 1}]

@@ -14,8 +14,8 @@ import math
 import time
 from collections import Counter
 from functools import cache, reduce
-from itertools import zip_longest
-from operator import attrgetter
+from itertools import repeat, zip_longest
+from operator import attrgetter, countOf
 from typing import Callable, NamedTuple
 
 from . import identities, invseq, paths, qoperator, qstirling, recurrence
@@ -104,7 +104,7 @@ def run_paths(nmax: int, trunc: int | None = None) -> list[CheckResult]:
 
     s.check("paths.catalan_counts", 12,
             "weakly increasing count is Catalan, n <= {}",
-            lambda n: sum(1 for _ in paths.weakly_increasing_sequences(n))
+            lambda n: countOf(map(len, paths.weakly_increasing_sequences(n)), n)
             == paths.catalan(n))
 
     def round_trips(n):
@@ -130,7 +130,8 @@ def run_paths(nmax: int, trunc: int | None = None) -> list[CheckResult]:
     def triangles(n):
         row = paths.returns_triangle_row(n)
         brute = paths.returns_distribution(n)
-        zeros = Counter(e.count(0) for e in paths.weakly_increasing_sequences(n))
+        zeros = Counter(map(countOf, paths.weakly_increasing_sequences(n),
+                            repeat(0)))
         valleys = paths.valley_distribution(n)
         return (row == [brute.get(k, 0) for k in range(1, n + 1)]
                 and row == [zeros.get(k, 0) for k in range(1, n + 1)]
@@ -160,16 +161,24 @@ def run_tau(nmax: int, trunc: int | None = None) -> list[CheckResult]:
     s = _Suite(nmax)
 
     # one pass over inversion_sequences(n) per n, shared by the involution
-    # and fixed-point checks: (every image passes, number of fixed points)
+    # and fixed-point checks: (every image passes, number of fixed points).
+    # The walk's members are in I_n by construction, so they go to the
+    # unvalidated core; every image goes back through the public map,
+    # which refuses one outside I_n: that image fails the involution check.
     @cache
     def scan(n: int) -> tuple[bool, int]:
         involutive, fixed = True, 0
-        for e in invseq.inversion_sequences(n):
-            image = paths.sign_reversing_involution(e)
+        invs = invseq.inversion_counts(invseq.inversion_sequences(n))
+        for e, inv in zip(invseq.inversion_sequences(n), invs):
+            image = paths._involution_core(e)
             if image == e:
                 fixed += 1
-            elif (paths.sign_reversing_involution(image) != e
-                  or abs(invseq.inversions(image) - invseq.inversions(e)) != 1):
+                continue
+            try:
+                back = paths.sign_reversing_involution(image)
+            except ValueError:
+                back = None
+            if back != e or abs(invseq.inversions(image) - inv) != 1:
                 involutive = False
         return involutive, fixed
 

@@ -474,6 +474,17 @@ GOLDEN_SHA256 = {
         "b45fd61ef7d2f6d33006d05e631903d410d1e5000c7c95dfee6d5e70f01ed585",
     "fpoly 10 --bind x=1,y=1,z=1,p=1 --format json":
         "a8be067a2a98ded17ee09baa3c3594ab8b7e81fba72c98aebcf4bfb1b80ed678",
+    # recorded before the oracles' walks were mapped in C: the Eulerian
+    # (S_n walk) and max-displacement rows, the augmented-inversion walk
+    # and the tau scan
+    "sequence eulerian 9 --format json":
+        "6b825d8711e5be9b24a9b4f8163373da038277a6fc0b5ae0080d0506ea3b9571",
+    "sequence a056151 9 --format json":
+        "3bd2f1e1292e04c1c4cab59d46c5024414b5eb9f4a2f597b60d5bcdbf23ae811",
+    "verify stirling 9 --format json":
+        "65dfbcf4173adaf8a6eb65c45bc3b87f95f2398c039584e5cccfaf11b2107b2f",
+    "verify tau 8 --format json":
+        "c63906b4568bf6e178b1b20ae78ac2be7d677389aa07611b6f3fe89099501783",
 }
 
 

@@ -1,26 +1,42 @@
-"""The per-sequence statistics and the packed fixed-frequency product,
-each against the loop it replaced, kept here as the reference."""
+"""The per-sequence statistics, the walks of the enumeration oracles and
+the packed fixed-frequency product, each against the loop it replaced,
+kept here as the reference."""
 
 import math
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invq.identities import descent_count, major_index, permutations
+from invq.identities import (
+    descent_count,
+    major_index,
+    max_displacement_counts,
+    permutations,
+)
 from invq.invseq import (
     _validate_counts,
+    brute_class_polys,
+    brute_joint_poly,
     fixed_freq_poly,
     frequency_vectors,
+    inversion_counts,
     inversion_sequences,
     inversions,
     occurrence_counts,
+    sequence_stats,
     validate,
 )
 from invq.paths import path_from_sequence, weakly_increasing_sequences
 from invq.polyring import MultiPoly, QLaurent
 from invq.qcalc import packed_q_binomial, q_binomial, slot_width, unpack
-from invq.qstirling import is_distinct_nonzero
+from invq.qstirling import (
+    _augmented_by_zero_count,
+    augmented_inversions,
+    distinct_nonzero_sequences,
+    is_distinct_nonzero,
+)
 from invq.recurrence import joint_poly
 
 # ------------------------------------------------------ reference loops
@@ -87,6 +103,32 @@ def sorted_items_tuple_key(poly):
     return sorted(poly.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
 
+def brute_joint_poly_stats(n):
+    return MultiPoly(Counter((s.noz, s.tel, s.uel, s.sum, s.inv)
+                             for s in map(sequence_stats, inversion_sequences(n))))
+
+
+def brute_class_polys_loop(n):
+    groups = defaultdict(Counter)
+    for e in inversion_sequences(n):
+        groups[tuple(sorted(e))][inversions(e)] += 1
+    return {occurrence_counts(w): QLaurent(c) for w, c in groups.items()}
+
+
+def max_displacement_counts_loop(n):
+    counts = [0] * n
+    for sigma in permutations(n):
+        counts[max(v - i for i, v in enumerate(sigma, start=1))] += 1
+    return counts
+
+
+def augmented_by_zero_count_loop(n):
+    counts = [Counter() for _ in range(n + 1)]
+    for e in distinct_nonzero_sequences(n):
+        counts[e.count(0)][augmented_inversions(e)] += 1
+    return [QLaurent(c) for c in counts]
+
+
 # --------------------------------------------------- exhaustive sweeps
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -94,6 +136,36 @@ def test_inversion_sequence_kernels_match_loops(n):
     for e in inversion_sequences(n):
         assert inversions(e) == inversions_loop(e), e
         assert is_distinct_nonzero(e) == is_distinct_nonzero_loop(e), e
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inversion_counts_over_inversion_sequences(n):
+    assert list(inversion_counts(inversion_sequences(n))) == list(
+        map(inversions, inversion_sequences(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_brute_joint_poly_matches_sequence_stats(n):
+    # classes sharing (noz, tel, uel, sum) must add their counts
+    assert brute_joint_poly(n) == brute_joint_poly_stats(n)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_brute_class_polys_matches_loop(n):
+    got, expected = brute_class_polys(n), brute_class_polys_loop(n)
+    assert got == expected
+    assert list(got) == list(expected)  # the walk's first-met order
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_max_displacement_counts_match_loop(n):
+    assert max_displacement_counts(n) == max_displacement_counts_loop(n)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_augmented_by_zero_count_matches_loop(n):
+    assert _augmented_by_zero_count.__wrapped__(n) == \
+        augmented_by_zero_count_loop(n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -125,6 +197,8 @@ words = st.one_of(st.lists(st.integers(min_value=-4, max_value=4), max_size=20),
 @example((-1, -2, 5, -2, 0))
 def test_word_kernels_match_loops(w):
     assert inversions(w) == inversions_loop(w)
+    assert list(inversion_counts([w, w[::-1]])) == [inversions_loop(w),
+                                                    inversions_loop(w[::-1])]
     assert descent_count(w) == descent_count_loop(w)
     assert major_index(w) == major_index_loop(w)
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from invq.polyring import MultiPoly, QLaurent
-from invq.qcalc import d_q, q_binomial, q_factorial, q_int, q_pochhammer_x, t_q
+from invq.qcalc import (d_q, q_binomial, q_factorial, q_int, q_pascal,
+                        q_pochhammer_x, t_q)
 
 X = MultiPoly.variable("x")
 
@@ -126,3 +127,15 @@ def test_t_q_at_q1_is_binomial_shift(f):
 @given(small_x_polys())
 def test_t_q_is_linear(f):
     assert t_q(2 * f) == 2 * t_q(f)
+
+
+@pytest.mark.parametrize("q0", range(-3, 4))
+def test_q_pascal_matches_q_binomial(q0):
+    rows = q_pascal(20, q0)
+    assert [len(row) for row in rows] == list(range(1, 22))
+    for m, row in enumerate(rows):
+        assert row == [q_binomial(m, v).evaluate(q0) for v in range(m + 1)], m
+    assert all(type(c) is int for row in rows for c in row)
+    assert q_pascal(0, q0) == [[1]]
+    with pytest.raises(ValueError):
+        q_pascal(-1, q0)

@@ -1,10 +1,12 @@
 """The verification suites themselves must go green at small bounds."""
 
 import math
+from itertools import chain
 
 import pytest
 
-from invq import paths, verify
+from invq import paths, qstirling, verify
+from invq.cli import main
 from invq.verify import SUITES, run_suite
 
 
@@ -80,3 +82,55 @@ def test_raising_check_fails_and_the_run_goes_on(monkeypatch):
         "fails at n = 0 (ArithmeticError: oracle broke); ")
     names = [r.name for r in results]
     assert names.index("stirling.classical_collapse") < len(names) - 1
+
+
+# ------------------------------------------- the validation the walks keep
+
+def _verify(capsys, *argv):
+    """Exit status and the failing rows' names of `invq verify ...`, and
+    their details; a traceback raises."""
+    code = main(["verify", *argv])
+    out = capsys.readouterr().out
+    failed = [line.split()[1] for line in out.splitlines()
+              if line.startswith("FAIL")]
+    return code, failed, out
+
+
+@pytest.mark.parametrize("wrong", [
+    # outside I_n: the last entry one past its bound
+    lambda image: image[:-1] + (len(image),),
+    # outside I_n only by type: True for 1 compares, counts and maps back
+    # like 1, so only the public map's validation refuses it
+    lambda image: tuple(True if v == 1 else v for v in image),
+    # in I_n but not sent back: the all-zero sequence is a fixed point
+    lambda image: (0,) * len(image),
+], ids=["past_bound", "bool_entry", "not_involutive"])
+def test_tau_images_still_validated(monkeypatch, capsys, wrong):
+    # the walk hands its own members to the unvalidated core; every image
+    # still goes through the public map.  Fixed points stay as they are,
+    # so only the involution row fails.
+    core = paths._involution_core
+
+    def broken(e):
+        image = core(e)
+        return image if image == e else wrong(image)
+    monkeypatch.setattr(paths, "_involution_core", broken)
+    code, failed, _ = _verify(capsys, "tau", "8")
+    assert (code, failed) == (1, ["tau.involution"])
+
+
+def test_stirling_walk_still_validated(monkeypatch, capsys):
+    # a member with a repeated nonzero entry must be refused by
+    # augmented_word, not counted; the per-n walk cache is cleared around
+    walk = qstirling.distinct_nonzero_sequences
+    monkeypatch.setattr(
+        qstirling, "distinct_nonzero_sequences",
+        lambda n: chain(walk(n), [(0,) + (1,) * (n - 1)] if n >= 3 else []))
+    qstirling._augmented_by_zero_count.cache_clear()
+    try:
+        code, failed, out = _verify(capsys, "stirling", "9")
+    finally:
+        qstirling._augmented_by_zero_count.cache_clear()
+    assert (code, failed) == (1, ["stirling.sequence_model"])
+    assert ("fails at n = 3 (ValueError: nonzero entries must be pairwise"
+            " distinct)") in out
