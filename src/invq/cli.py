@@ -20,14 +20,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
+from itertools import chain, repeat
+from operator import add, and_, itemgetter
 from typing import Callable
 
 from . import identities, paths, recurrence
-from .invseq import MAX_BRUTE_LENGTH, fixed_freq_poly
-from .polyring import MultiPoly, format_terms
+from .invseq import fixed_freq_poly
+from .polyring import MultiPoly, format_terms, power_tables
 from .qoperator import (SymExpr, comtet_coeff_explicit, operator_expansion)
 from .verify import SUITES, run_suite
 
@@ -91,18 +94,20 @@ def _parse_counts(text: str) -> tuple[int, ...]:
 
 def _emit(args, command: str, params: dict, result: dict,
           plain_lines: list[str], csv_rows: list[list], checks=(),
-          json_terms: list[str] | None = None) -> int:
+          json_terms: str = "") -> int:
     if args.format == "json":
         text = json.dumps({"command": command, "params": params,
                            "result": result, "checks": list(checks)}, indent=2)
         if json_terms:
-            # result["terms"] was dumped as []; the pre-rendered objects go
-            # there, at the depth json.dumps(indent=2) would put them (with
-            # no terms, the [] it printed is already those bytes)
+            # result["terms"] was dumped as []; the pre-rendered objects,
+            # joined by ",\n", go there, at the depth json.dumps(indent=2)
+            # would put them (with no terms, the [] it printed is already
+            # those bytes).  Written in pieces, so the terms are not copied
             head, _, tail = text.rpartition('"terms": []')
-            text = "".join((head, '"terms": [\n', ",\n".join(json_terms),
-                            "\n    ]", tail))
-        print(text)
+            sys.stdout.writelines((head, '"terms": [\n', json_terms,
+                                   "\n    ]", tail, "\n"))
+        else:
+            print(text)
     elif args.format == "csv":
         import csv  # only csv output pays for the import
         csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
@@ -115,10 +120,13 @@ def _emit(args, command: str, params: dict, result: dict,
 # ----------------------------------------------------------------- fpoly
 
 # one element of the json terms array, as json.dumps(indent=2) lays out a
-# MultiPoly.to_json_terms() entry at that depth of the envelope
-_JSON_TERM = ('      {\n        "coeff": %d,\n        "ex": %d,\n'
-              '        "ey": %d,\n        "ez": %d,\n        "ep": %d,\n'
-              '        "eq": %d\n      }')
+# MultiPoly.to_json_terms() entry at that depth of the envelope: the head,
+# the coefficient, the (ex, ey, ez, ep) part and the eq part
+_JSON_HEAD = '      {\n        "coeff": '
+_JSON_RUN = (',\n        "ex": %d,\n        "ey": %d,\n        "ez": %d,\n'
+             '        "ep": %d,\n        "eq": ')
+_JSON_EQ = '%d\n      }'
+_JSON_TERM = _JSON_HEAD + "%d" + _JSON_RUN + _JSON_EQ
 
 
 def _emit_poly(args, command: str, params: dict, poly: MultiPoly) -> int:
@@ -139,20 +147,124 @@ def _emit_poly(args, command: str, params: dict, poly: MultiPoly) -> int:
         print(text)
         return 0
     return _emit(args, command, params, {"text": text, "terms": []}, (), (),
-                 json_terms=[_JSON_TERM % (c, a, b, z, d, e)
-                             for (a, b, z, d, e), c in items])
+                 json_terms=",\n".join([_JSON_TERM % (c, a, b, z, d, e)
+                                         for (a, b, z, d, e), c in items]))
+
+
+def _term_order(runs: list, lens: list[int], top: int) -> list[int]:
+    """The terms of `runs` (`recurrence.joint_runs`), numbered run by run
+    and q^0 upward within a run, in `MultiPoly.sorted_items` order: total
+    degree, then (ex, ey, ez, ep, eq), all descending.  `lens` are the
+    runs' lengths and `top` their largest exponent.
+
+    Each term's sort key is one int with the fields (degree, ex, ey, ez,
+    ep, index), the exponents w bits each and the index iw bits, wide
+    enough for the largest of each; eq needs no field, since the degree and
+    the other four fix it.  Along a run only eq steps, which adds 1 to the
+    degree and to the index, so the keys of a run are one range with that
+    stride.  The index makes the keys distinct, so one sort of the ints
+    orders the terms, and their low bits give the order.
+    """
+    w = top.bit_length()
+    iw = (sum(lens) - 1).bit_length()
+    stride = (1 << (4 * w + iw)) + 1
+    keys: list[int] = []
+    index = 0
+    for (ex, ey, ez, ep, _), m in zip(runs, lens):
+        key = ((((ex + ey + ez + ep) << w | ex) << w | ey) << w | ez) << w | ep
+        key = key << iw | index
+        keys += range(key, key + m * stride, stride)
+        index += m
+    keys.sort(reverse=True)
+    return list(map(and_, keys, repeat((1 << iw) - 1)))
+
+
+def _emit_runs(args, command: str, params: dict, runs) -> int:
+    """`_emit_poly` of the polynomial whose terms `runs` lists, each run
+    (ex, ey, ez, ep, coeffs) with positive coeffs from q^0 upward and with
+    x^ex, ex >= 1, in every monomial (`recurrence.joint_runs`).
+
+    Every format joins, term by term in `_term_order`, the coefficient's
+    text, a text per run and a text per eq, in C-level maps with no Python
+    frame per term; `_emit_poly` is its oracle.
+    """
+    runs = list(runs)
+    lens = list(map(len, map(itemgetter(4), runs)))
+    top = max(max(map(max, map(itemgetter(slice(4)), runs))), max(lens) - 1)
+    order = _term_order(runs, lens, top)
+    coeffs = list(chain.from_iterable(map(itemgetter(4), runs)))
+    coeffs = list(map(str, map(coeffs.__getitem__, order)))
+    run_of = list(chain.from_iterable(map(repeat, range(len(runs)), lens)))
+    run_of = list(map(run_of.__getitem__, order))
+    eq_of = list(chain.from_iterable(map(range, lens)))
+    eq_of = list(map(eq_of.__getitem__, order))
+
+    def joined(sep: str, first, per_run: list[str], per_eq: list[str]) -> str:
+        # first: the text that leads each term, in order
+        return sep.join(map(add, map(add, first, map(per_run.__getitem__, run_of)),
+                            map(per_eq.__getitem__, eq_of)))
+
+    eqs = range(top + 1)
+    if args.format == "csv":
+        print("coeff,ex,ey,ez,ep,eq\n" + joined(
+            "\n", coeffs, [",%d,%d,%d,%d," % run[:4] for run in runs],
+            list(map(str, eqs))))
+        return 0
+    x, y, z, p, q = power_tables(top)
+    # format_terms writes a coefficient 1 as the bare monomial.  Every
+    # coefficient here is positive and every monomial starts with "*x", so
+    # " + 1*" marks exactly the terms whose coefficient is 1: any other
+    # coefficient has a digit before its "1*", and " + " occurs only
+    # between terms.  The leading " + " gives the first term the same rule.
+    text = (" + " + joined(" + ", coeffs, [x[a] + y[b] + z[c] + p[d]
+                                            for a, b, c, d, _ in runs], q)
+            ).replace(" + 1*", " + ")[3:]
+    if args.format == "plain":
+        print(text)
+        return 0
+    return _emit(args, command, params, {"text": text, "terms": []}, (), (),
+                 json_terms=joined(
+                     ",\n", map(_JSON_HEAD.__add__, coeffs),
+                     [_JSON_RUN % run[:4] for run in runs],
+                     [_JSON_EQ % e for e in eqs]))
+
+
+# fpoly enumerates nothing, so its cap bounds the size of the output:
+# fpoly 10 --format json is 4.4 MB, and each length past it about doubles
+MAX_FPOLY_LENGTH = 10
+
+
+def _check_printable(n: int, option: str, values: dict[str, int]) -> None:
+    """Refuse values that could give F_n, bound to them, a coefficient past
+    Python's limit on the digits of an int printed in decimal
+    (`sys.get_int_max_str_digits()`; 0 or no limit at all means none).
+    The coefficients of F_n are nonnegative and sum to n!, and a variable
+    bound to v multiplies each by at most |v| to its top exponent: n for x,
+    n - 1 for y and z, n(n-1)/2 for p and q."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    top = {"x": n, "y": n - 1, "z": n - 1, "p": n * (n - 1) // 2,
+           "q": n * (n - 1) // 2}
+    bits = math.factorial(n).bit_length() + sum(
+        top[name] * abs(v).bit_length() for name, v in values.items())
+    if limit and 1 << bits > 10 ** limit:
+        raise UsageError(f"{option} values too large: a coefficient of F_{n} "
+                         f"could pass {limit} digits, the limit for printing "
+                         f"an int")
 
 
 def cmd_fpoly(args) -> int:
     n = args.n
-    if not 1 <= n <= MAX_BRUTE_LENGTH:
-        raise UsageError(f"length must be in 1..{MAX_BRUTE_LENGTH}")
+    if not 1 <= n <= MAX_FPOLY_LENGTH:
+        raise UsageError(f"length must be in 1..{MAX_FPOLY_LENGTH}")
     bindings = _parse_bindings(",".join(args.bind)) if args.bind else {}
+    _check_printable(n, "--bind", bindings)
 
     if args.columns is not None:
         if bindings:
             raise UsageError("--columns already binds x = y = z = p = 1")
         qvalues = _parse_columns(args.columns)
+        for v in qvalues:
+            _check_printable(n, "--columns", {"q": v})
         header = ["n", "poly"] + [f"q={v}" for v in qvalues]
         rows = []
         for m in range(1, n + 1):
@@ -165,8 +277,10 @@ def cmd_fpoly(args) -> int:
         return _emit(args, "fpoly", {"n": n, "columns": qvalues},
                      {"header": header, "rows": rows}, plain, [header] + rows)
 
-    return _emit_poly(args, "fpoly", {"n": n, "bind": bindings},
-                      recurrence.joint_poly(n, bindings))
+    params = {"n": n, "bind": bindings}
+    if not bindings:
+        return _emit_runs(args, "fpoly", params, recurrence.joint_runs(n))
+    return _emit_poly(args, "fpoly", params, recurrence.joint_poly(n, bindings))
 
 
 # ----------------------------------------------------------------- verify

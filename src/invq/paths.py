@@ -111,7 +111,11 @@ def path_from_sequence(e: InvSeq) -> LatticePath:
     >>> path_from_sequence((0, 1, 1, 2))
     'ENEENENN'
     """
-    e = validate(e)
+    return _path_core(validate(e))
+
+
+def _path_core(e: InvSeq) -> LatticePath:
+    """path_from_sequence of a tuple already known to be in I_n."""
     rises = list(map(sub, e[1:] + (len(e),), e))  # the last one is >= 1
     if min(rises) < 0:
         raise ValueError("sequence must be weakly increasing")
@@ -124,7 +128,11 @@ def sequence_from_path(word: LatticePath) -> InvSeq:
     >>> sequence_from_path('EENENNEN')
     (0, 0, 1, 3)
     """
-    validate_path(word)
+    return _sequence_core(validate_path(word))
+
+
+def _sequence_core(word: LatticePath) -> InvSeq:
+    """sequence_from_path of a word already known to be a path."""
     e = []
     norths = 0
     for ch in word:

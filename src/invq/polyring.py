@@ -46,21 +46,25 @@ def _join_signed(chunks: list[str]) -> str:
     return "".join(chunks)
 
 
+def power_tables(top: int) -> list[list[str]]:
+    """For each of VARIABLES, its factor of a monomial's text by exponent
+    0 .. top: "", "*x", "*x^2", ...  The text of a monomial is the five
+    factors joined, less the leading "*"."""
+    return [[""] + [f"*{name}" if e == 1 else f"*{name}^{e}"
+                    for e in range(1, top + 1)]
+            for name in VARIABLES]
+
+
 def format_terms(items: list[tuple[ExpVec, int]]) -> str:
     """The canonical text of a polynomial from its `sorted_items()`.
 
-    Each monomial is read from per-variable power tables ("", "*x",
-    "*x^2", ... up to the largest exponent), so no term formats an
-    exponent of its own.
+    Each monomial is read from `power_tables` up to the largest exponent,
+    so no term formats an exponent of its own.
 
     >>> format_terms([((2, 0, 0, 0, 1), 3), ((0, 0, 0, 0, 0), -1)])
     '3*x^2*q - 1'
     """
-    top = max((max(key) for key, _ in items), default=0)
-    x, y, z, p, q = [
-        [""] + [f"*{name}" if e == 1 else f"*{name}^{e}"
-                for e in range(1, top + 1)]
-        for name in VARIABLES]
+    x, y, z, p, q = power_tables(max((max(key) for key, _ in items), default=0))
     chunks = []
     for (a, b, c, d, e), coeff in items:
         mono = x[a] + y[b] + z[c] + p[d] + q[e]

@@ -10,7 +10,7 @@ with the scaled shift x -> x/p, p-degree n.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .polyring import ExpVec, MultiPoly, QLaurent, check_bindings
 from .qcalc import (packed_q_binomial, q_factorial, q_pascal, slot_width, t_q,
@@ -94,6 +94,33 @@ def _class_scan(n: int, bind: Mapping[str, int]) -> tuple[int | None, list[_Stat
     return width, states
 
 
+def _runs(n: int, bind: Mapping[str, int]) -> Iterator[tuple]:
+    """The final class-scan states of F_n with `bind` substituted, one run
+    (ex, ey, ez, ep, coeffs) per state entry: coeffs[eq] is the coefficient
+    of x^ex y^ey z^ez p^ep q^eq.  The scan substitutes a bound p or q (ep is
+    then 0, and a bound q leaves one coefficient); a bound x, y or z keeps
+    the exponent the zeros give it, for the caller to scale by."""
+    width, states = _class_scan(n, bind)
+    r = n * (n - 1) // 2 + 1
+    for above, state in enumerate(states):
+        ex, dy, dz = n - above, n - above - 1, 0 if above else n - 1
+        for key, poly in state.items():
+            rest, ep = divmod(key, r)
+            ey, ez = divmod(rest, n)
+            yield (ex, ey + dy, ez + dz, ep,
+                   unpack(poly, width) if width else (poly,))
+
+
+def joint_runs(n: int) -> Iterator[tuple[int, int, int, int, list[int]]]:
+    """The terms of F_n as runs (ex, ey, ez, ep, coeffs), one per state of
+    the unbound class scan: coeffs lists the coefficients of q^0, q^1, ...
+    of x^ex y^ey z^ez p^ep, and all are positive (see joint_poly), and no
+    two runs share (ex, ey, ez, ep).  `cli` renders `fpoly N` from them."""
+    if n < 1:
+        raise ValueError("length must be >= 1")
+    return _runs(n, {})
+
+
 def joint_poly(n: int, bind: Mapping[str, int] | None = None) -> MultiPoly:
     """Joint distribution polynomial of length n, with the variables of
     `bind` substituted by ints (`MultiPoly.eval_partial`, its oracle).
@@ -120,36 +147,30 @@ def joint_poly(n: int, bind: Mapping[str, int] | None = None) -> MultiPoly:
         raise ValueError("length must be >= 1")
     bind = dict(bind or {})
     check_bindings(bind)
+    out: dict[ExpVec, int] = {}
+    if not bind:  # distinct terms of F_n, none of them 0
+        for ex, ey, ez, ep, cs in joint_runs(n):
+            out.update(zip(zip(repeat(ex), repeat(ey), repeat(ez), repeat(ep),
+                               range(len(cs))), cs))
+        return MultiPoly._raw(out)
     if "q" not in bind and any(bind.get(v, 0) < 0 for v in "yzp"):
         return joint_poly(n).eval_partial(bind)
-    width, states = _class_scan(n, bind)
-    r = n * (n - 1) // 2 + 1
     x0, y0, z0 = map(bind.get, "xyz")
-    out: dict[ExpVec, int] = {}
     get = out.get
-    for above, state in enumerate(states):
-        ex, dy, dz = n - above, n - above - 1, 0 if above else n - 1
+    for ex, ey, ez, ep, cs in _runs(n, bind):
         scale = 1
         if x0 is not None:
             scale, ex = scale * x0 ** ex, 0
         if y0 is not None:
-            scale, dy = scale * y0 ** dy, 0
+            scale, ey = scale * y0 ** ey, 0
         if z0 is not None:
-            scale, dz = scale * z0 ** dz, 0
+            scale, ez = scale * z0 ** ez, 0
         if not scale:
             continue
-        for key, poly in state.items():
-            rest, ep = divmod(key, r)
-            ey, ez = divmod(rest, n)
-            cs = unpack(poly, width) if width else (poly,)
-            if not bind:  # distinct terms of F_n, none of them 0
-                out.update(zip(zip(repeat(ex), repeat(ey + dy), repeat(ez + dz),
-                                   repeat(ep), range(len(cs))), cs))
-                continue
-            for eq, c in enumerate(cs):
-                term = (ex, ey + dy, ez + dz, ep, eq)
-                out[term] = get(term, 0) + c * scale
-    return MultiPoly._summed(out) if bind else MultiPoly._raw(out)
+        for eq, c in enumerate(cs):
+            term = (ex, ey, ez, ep, eq)
+            out[term] = get(term, 0) + c * scale
+    return MultiPoly._summed(out)
 
 
 def inv_poly(n: int) -> QLaurent:

@@ -109,9 +109,10 @@ def run_paths(nmax: int, trunc: int | None = None) -> list[CheckResult]:
 
     def round_trips(n):
         # both walks are lexicographic, so the bijection pairs them in step;
-        # a walk that runs short leaves a None, which fails the pair
-        return all(e is not None and paths.path_from_sequence(e) == w
-                   and paths.sequence_from_path(w) == e
+        # a walk that runs short leaves a None, which fails the pair.  The
+        # walks build their members valid, so the unvalidated cores map them
+        return all(e is not None and paths._path_core(e) == w
+                   and paths._sequence_core(w) == e
                    for e, w in zip_longest(paths.weakly_increasing_sequences(n),
                                            paths.lattice_paths(n)))
     s.check("paths.bijection_round_trip", 10,

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import invq
-from invq import cli, oeis
+from invq import cli, oeis, recurrence
 from invq.cli import SEQUENCES, main
 from invq.polyring import VARIABLES, MultiPoly, QLaurent
 
@@ -214,6 +214,111 @@ def test_poly_output_matches_term_dicts(poly):
             code = cli._emit_poly(argparse.Namespace(format=fmt), "fpoly",
                                   params, poly)
         assert (code, out.getvalue()) == (0, want), fmt
+
+
+# ------------------------------------------ the run stream of unbound fpoly
+
+def _printed(emit, fmt, *args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = emit(argparse.Namespace(format=fmt), "fpoly", *args)
+    assert code == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_fpoly_stream_matches_sorted_route(capsys, n):
+    """Unbound fpoly renders the runs of joint_runs; _emit_poly of
+    joint_poly, through sorted_items and format_terms, is its oracle."""
+    params = {"n": n, "bind": {}}
+    for fmt in ("plain", "csv", "json"):
+        code, out, _ = run(capsys, "fpoly", str(n), "--format", fmt)
+        assert code == 0
+        assert out == _printed(cli._emit_poly, fmt, params,
+                               recurrence.joint_poly(n)), fmt
+
+
+# recorded through _emit_poly(joint_poly(n)) before unbound fpoly rendered
+# runs; fpoly caps n at 10, so these call _emit_runs directly
+STREAM_SHA256 = {
+    (11, "plain"):
+        "7691131be116cd7411bd6cf3c7e281307cfc6c02425c111d6b8edfd23d41f59b",
+    (11, "csv"):
+        "ecd385b31467764ffb02aab6036bfc293bbc693271209d756c700822f28375b2",
+    (11, "json"):
+        "cfce47cef2ad87055f28626c1c8c38a4a0724ae61659d5131a43b9adc2f350c8",
+    (12, "plain"):
+        "278ca861aa1978f1721187f334638524a6f439d2f414039f87c831384c3d8c35",
+    (12, "csv"):
+        "f77947db86ece097e011ef9a5a65175e25055c5d815cd3e0b123eb5d6312c429",
+    (12, "json"):
+        "48b9963c12f1883c31f4f70a8f229d032a6003cf8b05908efd9784e612ef3e4e",
+}
+
+
+@pytest.mark.parametrize("n,fmt", STREAM_SHA256)
+def test_stream_golden_past_the_cap(n, fmt):
+    out = _printed(cli._emit_runs, fmt, {"n": n, "bind": {}},
+                   recurrence.joint_runs(n))
+    assert hashlib.sha256(out.encode()).hexdigest() == STREAM_SHA256[n, fmt]
+
+
+def stream_runs():
+    """Runs of the shape joint_runs gives: distinct (ex, ey, ez, ep) with
+    ex >= 1 and positive coefficients from q^0 upward.  Small coefficients
+    hit the unit rule, and exponents past 31 fill a 6-bit key field."""
+    e = st.integers(min_value=0, max_value=40)
+    coeffs = st.lists(st.one_of(st.integers(min_value=1, max_value=12),
+                                st.integers(min_value=1, max_value=2 ** 70)),
+                      min_size=1, max_size=40)
+    return st.dictionaries(st.tuples(st.integers(min_value=1, max_value=40),
+                                     e, e, e), coeffs, min_size=1, max_size=12
+                           ).map(lambda d: [(*k, cs) for k, cs in d.items()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(stream_runs())
+@example([(1, 0, 0, 0, [1])])
+# two terms of degree 41 that a 5-bit ep field would swap: (1, 0, 0, 40, 0)
+# would read as (1, 0, 1, 8, 0), ahead of (1, 0, 1, 1, 38)
+@example([(1, 0, 0, 40, [1]), (1, 0, 1, 1, [1] * 40)])
+@example([(2, 0, 0, 0, [11, 1, 21]), (1, 3, 0, 0, [1, 1])])
+def test_stream_matches_sorted_route_on_runs(runs):
+    poly = MultiPoly({(*head, eq): c
+                      for *head, cs in runs for eq, c in enumerate(cs)})
+    params = {"n": 1, "bind": {}}
+    for fmt in ("plain", "csv", "json"):
+        assert (_printed(cli._emit_runs, fmt, params, runs)
+                == _printed(cli._emit_poly, fmt, params, poly)), fmt
+
+
+@pytest.fixture
+def default_int_digits():
+    """Python's default limit of 4300 digits on printing an int."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python prints ints of any size")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_fpoly_refuses_unprintable_values(capsys, default_int_digits):
+    # p^3 of a 2001-digit value has over 6000 digits: refused before the
+    # scan, where printing it used to raise ValueError (exit 1, traceback)
+    big = "1" + "0" * 2000
+    for fmt in ("plain", "csv", "json"):
+        assert run(capsys, "fpoly", "3", "--bind", f"p={big}",
+                   "--format", fmt) == (
+            2, "", "error: --bind values too large: a coefficient of F_3 "
+                   "could pass 4300 digits, the limit for printing an int\n")
+    code, _, err = run(capsys, "fpoly", "10", "--columns", f"q=1,{big}")
+    assert code == 2 and "error: --columns values too large" in err
+    # p^3 of a 1001-digit value has 3001 digits, and prints
+    code, out, _ = run(capsys, "fpoly", "3", "--bind", "p=1" + "0" * 1000,
+                       "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[-1] == "1" + "0" * 3000 + ",1,0,0,0,0"
 
 
 # ------------------------------------------------------------------ verify

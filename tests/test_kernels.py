@@ -28,7 +28,7 @@ from invq.invseq import (
     sequence_stats,
     validate,
 )
-from invq.paths import path_from_sequence, weakly_increasing_sequences
+from invq.paths import _path_core, path_from_sequence, weakly_increasing_sequences
 from invq.polyring import MultiPoly, QLaurent
 from invq.qcalc import packed_q_binomial, q_binomial, slot_width, unpack
 from invq.qstirling import (
@@ -179,7 +179,8 @@ def test_permutation_kernels_match_loops(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_path_from_sequence_matches_loop(n):
     for e in weakly_increasing_sequences(n):
-        assert path_from_sequence(e) == path_from_sequence_loop(e), e
+        assert path_from_sequence(e) == _path_core(e) == \
+            path_from_sequence_loop(e), e
 
 
 # ----------------------------------------------------- random int words

@@ -10,6 +10,8 @@ import pytest
 from invq.invseq import inversion_sequences, sequence_stats
 from invq.paths import (
     DyckStats,
+    _path_core,
+    _sequence_core,
     catalan,
     dyck_distribution,
     dyck_stats,
@@ -106,6 +108,21 @@ def test_validate_path_rejects():
 def test_non_monotone_sequence_rejected():
     with pytest.raises(ValueError):
         path_from_sequence((0, 1, 0))
+
+
+def test_cores_match_and_public_maps_validate():
+    # the bijection check maps its walks' members with the unvalidated
+    # cores; the public maps keep validating outside input
+    for n in range(1, 9):
+        for e, w in zip(weakly_increasing_sequences(n), lattice_paths(n)):
+            assert _path_core(e) == path_from_sequence(e) == w
+            assert _sequence_core(w) == sequence_from_path(w) == e
+    for bad in ("EX", "NE", "EENNN", "ENNE", "", "EN\n"):
+        with pytest.raises(ValueError):
+            sequence_from_path(bad)
+    for bad in ((0, 2), (1,), (), (0, True), (0, 1, 0)):
+        with pytest.raises(ValueError):
+            path_from_sequence(bad)
 
 
 # -------------------------------------------------------------- dyck stats

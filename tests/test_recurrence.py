@@ -16,6 +16,7 @@ from invq.qcalc import q_binomial
 from invq.recurrence import (
     inv_poly,
     joint_poly,
+    joint_runs,
     next_joint_poly,
     p_factorial,
     product_formula,
@@ -44,6 +45,28 @@ def test_single_step_reproduces_golden(golden_polys):
 def test_golden_strings(golden_polys):
     assert str(joint_poly(2)) == str(golden_polys[2])
     assert str(joint_poly(3)) == str(golden_polys[3])
+
+
+def test_joint_poly_from_runs_is_golden(golden_polys):
+    for n, poly in golden_polys.items():
+        assert joint_poly(n) == poly
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_joint_runs_shape(n):
+    # what the fpoly renderer relies on: distinct (ex, ey, ez, ep), x in
+    # every monomial, and positive coefficients from q^0 upward that sum
+    # to n!, the terms of F_n with nothing dropped
+    runs = list(joint_runs(n))
+    heads = [run[:4] for run in runs]
+    assert len(set(heads)) == len(heads)
+    assert min(ex for ex, *_ in heads) >= 1
+    assert min(min(cs) for *_, cs in runs) > 0
+    assert sum(sum(cs) for *_, cs in runs) == math.factorial(n)
+    poly = joint_poly(n)
+    assert sum(len(cs) for *_, cs in runs) == poly.term_count()
+    for *head, cs in runs:
+        assert [poly.coefficient((*head, eq)) for eq in range(len(cs))] == cs
 
 
 @pytest.mark.parametrize("n", range(1, 7))
