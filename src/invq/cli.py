@@ -44,12 +44,25 @@ class UsageError(Exception):
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def _shown(text: str) -> str:
+    """`text` quoted for a usage message, cut to a short prefix."""
+    return repr(text if len(text) <= 24 else text[:20] + "...")
+
+
 def integer(text: str) -> int:
     """An optional sign and ASCII digits as an int, for every integer the
     command line takes; int() alone would also read "1_0", " 1 " and
-    non-ASCII digits."""
+    non-ASCII digits.  More digits than int() reads
+    (`sys.get_int_max_str_digits()`, leading zeros included; 0 or no
+    limit at all means none) are a UsageError of their own, not a
+    malformed integer."""
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"not an integer: {text!r}")
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    digits = len(text.lstrip("+-"))
+    if limit and digits > limit:
+        raise UsageError(f"integer {_shown(text)} has {digits} digits, past "
+                         f"Python's limit of {limit} for reading an int")
     return int(text)
 
 
@@ -62,13 +75,14 @@ def _parse_bindings(text: str) -> dict[str, int]:
         try:
             value = integer(value)
         except ValueError:
-            raise UsageError(f"binding {piece!r} is not var=integer") from None
+            raise UsageError(
+                f"binding {_shown(piece)} is not var=integer") from None
         if name == "all":
             names = "xyzpq"
         elif name in "xyzpq" and len(name) == 1:
             names = name
         else:
-            raise UsageError(f"unknown variable {name!r} in --bind")
+            raise UsageError(f"unknown variable {_shown(name)} in --bind")
         for var in names:
             if var in bindings:
                 raise UsageError(f"variable {var!r} bound twice in --bind")
@@ -93,21 +107,10 @@ def _parse_counts(text: str) -> tuple[int, ...]:
 
 
 def _emit(args, command: str, params: dict, result: dict,
-          plain_lines: list[str], csv_rows: list[list], checks=(),
-          json_terms: str = "") -> int:
+          plain_lines: list[str], csv_rows: list[list], checks=()) -> int:
     if args.format == "json":
-        text = json.dumps({"command": command, "params": params,
-                           "result": result, "checks": list(checks)}, indent=2)
-        if json_terms:
-            # result["terms"] was dumped as []; the pre-rendered objects,
-            # joined by ",\n", go there, at the depth json.dumps(indent=2)
-            # would put them (with no terms, the [] it printed is already
-            # those bytes).  Written in pieces, so the terms are not copied
-            head, _, tail = text.rpartition('"terms": []')
-            sys.stdout.writelines((head, '"terms": [\n', json_terms,
-                                   "\n    ]", tail, "\n"))
-        else:
-            print(text)
+        print(json.dumps({"command": command, "params": params,
+                          "result": result, "checks": list(checks)}, indent=2))
     elif args.format == "csv":
         import csv  # only csv output pays for the import
         csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
@@ -129,6 +132,38 @@ _JSON_EQ = '%d\n      }'
 _JSON_TERM = _JSON_HEAD + "%d" + _JSON_RUN + _JSON_EQ
 
 
+def _write_poly_json(command: str, params: dict, text, terms) -> int:
+    """Write the bytes json.dumps(indent=2) gives for the envelope of a
+    polynomial, whose result is {"text": ..., "terms": [...]}.
+
+    `text` is the pieces of the result's text.  `terms` is the pieces of
+    the terms array, each led by the comma and newline that json.dumps puts
+    between elements, the elements laid out as `_JSON_TERM`.  The envelope is
+    dumped once with "" and [] in their places, and the pieces go into
+    those two gaps, so neither is ever one whole string.  The text goes in
+    unescaped: a polynomial's text holds only digits, the letters xyzpq,
+    "^", "*", "+", "-" and spaces, so json.dumps(text) is '"' + text + '"'.
+    """
+    envelope = json.dumps({"command": command, "params": params,
+                           "result": {"text": "", "terms": []},
+                           "checks": []}, indent=2)
+    head, _, tail = envelope.rpartition('"terms": []')
+    head, _, middle = head.rpartition('"text": ""')
+    out = sys.stdout
+    out.write(head + '"text": "')
+    out.writelines(text)
+    out.write('"' + middle + '"terms": [')
+    terms = iter(terms)
+    first = next(terms, "")
+    if first:
+        out.write("\n" + first[2:])
+        out.writelines(terms)
+        out.write("\n    ]" + tail + "\n")
+    else:
+        out.write("]" + tail + "\n")
+    return 0
+
+
 def _emit_poly(args, command: str, params: dict, poly: MultiPoly) -> int:
     # one sort; each format renders only what it prints
     items = poly.sorted_items()
@@ -146,9 +181,9 @@ def _emit_poly(args, command: str, params: dict, poly: MultiPoly) -> int:
     if args.format == "plain":
         print(text)
         return 0
-    return _emit(args, command, params, {"text": text, "terms": []}, (), (),
-                 json_terms=",\n".join([_JSON_TERM % (c, a, b, z, d, e)
-                                         for (a, b, z, d, e), c in items]))
+    term = ",\n" + _JSON_TERM
+    return _write_poly_json(command, params, (text,), ("".join([
+        term % (c, a, b, z, d, e) for (a, b, z, d, e), c in items]),))
 
 
 def _term_order(runs: list, lens: list[int], top: int) -> list[int]:
@@ -179,59 +214,78 @@ def _term_order(runs: list, lens: list[int], top: int) -> list[int]:
     return list(map(and_, keys, repeat((1 << iw) - 1)))
 
 
+# _emit_runs renders and writes this many terms at a time, so its peak
+# memory is the scan's, whatever the format and the size of the output
+_CHUNK = 4096
+
+
 def _emit_runs(args, command: str, params: dict, runs) -> int:
     """`_emit_poly` of the polynomial whose terms `runs` lists, each run
     (ex, ey, ez, ep, coeffs) with positive coeffs from q^0 upward and with
     x^ex, ex >= 1, in every monomial (`recurrence.joint_runs`).
 
-    Every format joins, term by term in `_term_order`, the coefficient's
-    text, a text per run and a text per eq, in C-level maps with no Python
-    frame per term; `_emit_poly` is its oracle.
+    The coefficients, each term's run and each term's eq are put in
+    `_term_order` once.  Every format then joins, `_CHUNK` terms at a time,
+    the coefficient's text, a text per run and a text per eq, in C-level
+    maps with no Python frame per term, and writes each chunk as it is
+    joined; `_emit_poly` is its oracle.
     """
     runs = list(runs)
     lens = list(map(len, map(itemgetter(4), runs)))
     top = max(max(map(max, map(itemgetter(slice(4)), runs))), max(lens) - 1)
     order = _term_order(runs, lens, top)
-    coeffs = list(chain.from_iterable(map(itemgetter(4), runs)))
-    coeffs = list(map(str, map(coeffs.__getitem__, order)))
-    run_of = list(chain.from_iterable(map(repeat, range(len(runs)), lens)))
-    run_of = list(map(run_of.__getitem__, order))
-    eq_of = list(chain.from_iterable(map(range, lens)))
-    eq_of = list(map(eq_of.__getitem__, order))
+    coeffs, run_of, eq_of = (list(map(seq.__getitem__, order)) for seq in (
+        list(chain.from_iterable(map(itemgetter(4), runs))),
+        list(chain.from_iterable(map(repeat, range(len(runs)), lens))),
+        list(chain.from_iterable(map(range, lens)))))
 
-    def joined(sep: str, first, per_run: list[str], per_eq: list[str]) -> str:
-        # first: the text that leads each term, in order
-        return sep.join(map(add, map(add, first, map(per_run.__getitem__, run_of)),
-                            map(per_eq.__getitem__, eq_of)))
+    def chunks(sep: str, per_run: list[str], per_eq: list[str]):
+        # the terms joined by sep, a chunk at a time, each chunk led by sep
+        for i in range(0, len(coeffs), _CHUNK):
+            part = slice(i, i + _CHUNK)
+            firsts = map(add, map(str, coeffs[part]),
+                         map(per_run.__getitem__, run_of[part]))
+            yield sep + sep.join(map(add, firsts,
+                                     map(per_eq.__getitem__, eq_of[part])))
 
+    def text():
+        # format_terms writes a coefficient 1 as the bare monomial.  Every
+        # coefficient here is positive and every monomial starts with "*x",
+        # so " + 1*" marks exactly the terms whose coefficient is 1: any
+        # other coefficient has a digit before its "1*", and " + " occurs
+        # only between terms.  Every chunk is led by " + ", so the rule
+        # holds for each chunk's first term; only the first chunk drops it.
+        x, y, z, p, q = power_tables(top)
+        pieces = (chunk.replace(" + 1*", " + ") for chunk in chunks(
+            " + ", [x[a] + y[b] + z[c] + p[d] for a, b, c, d, _ in runs], q))
+        yield next(pieces)[3:]
+        yield from pieces
+
+    out = sys.stdout
     eqs = range(top + 1)
     if args.format == "csv":
-        print("coeff,ex,ey,ez,ep,eq\n" + joined(
-            "\n", coeffs, [",%d,%d,%d,%d," % run[:4] for run in runs],
-            list(map(str, eqs))))
-        return 0
-    x, y, z, p, q = power_tables(top)
-    # format_terms writes a coefficient 1 as the bare monomial.  Every
-    # coefficient here is positive and every monomial starts with "*x", so
-    # " + 1*" marks exactly the terms whose coefficient is 1: any other
-    # coefficient has a digit before its "1*", and " + " occurs only
-    # between terms.  The leading " + " gives the first term the same rule.
-    text = (" + " + joined(" + ", coeffs, [x[a] + y[b] + z[c] + p[d]
-                                            for a, b, c, d, _ in runs], q)
-            ).replace(" + 1*", " + ")[3:]
-    if args.format == "plain":
-        print(text)
-        return 0
-    return _emit(args, command, params, {"text": text, "terms": []}, (), (),
-                 json_terms=joined(
-                     ",\n", map(_JSON_HEAD.__add__, coeffs),
-                     [_JSON_RUN % run[:4] for run in runs],
-                     [_JSON_EQ % e for e in eqs]))
+        out.write("coeff,ex,ey,ez,ep,eq")
+        out.writelines(chunks("\n", [",%d,%d,%d,%d," % r[:4] for r in runs],
+                              list(map(str, eqs))))
+    elif args.format == "plain":
+        out.writelines(text())
+    else:
+        # the head of each term rides on the separator: the writer drops
+        # only the ",\n" that leads the first chunk
+        return _write_poly_json(
+            command, params, text(),
+            chunks(",\n" + _JSON_HEAD, [_JSON_RUN % run[:4] for run in runs],
+                   [_JSON_EQ % e for e in eqs]))
+    out.write("\n")
+    return 0
 
 
-# fpoly enumerates nothing, so its cap bounds the size of the output:
-# fpoly 10 --format json is 4.4 MB, and each length past it about doubles
-MAX_FPOLY_LENGTH = 10
+# fpoly enumerates nothing, so its cap bounds the size of the output and
+# the memory.  fpoly 13 --format json writes 42 MB with a peak RSS of 53 MB,
+# the scan's, in 0.6 s; the costliest bound route, a negative y with q free
+# (through eval_partial), peaks at 76 MB in 1.1 s at --bind y=-2.  At 14,
+# json would write 78 MB and peak at 87 MB (2 vCPUs, Python 3.11)
+MAX_FPOLY_LENGTH = 13
 
 
 def _check_printable(n: int, option: str, values: dict[str, int]) -> None:
@@ -396,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("plain", "json", "csv"),
                        default="plain")
 
-    p = sub.add_parser("fpoly", help="joint statistic polynomial of length N")
+    p = sub.add_parser("fpoly", help="joint statistic polynomial of length "
+                                     f"N, 1..{MAX_FPOLY_LENGTH}")
     p.add_argument("n", type=integer)
     p.add_argument("--bind", metavar="VAR=INT,...", action="append",
                    help="bind variables, e.g. x=1,y=1 or all=1; repeats merge")
@@ -442,8 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        # inside the try: integer() raises UsageError past the digit limit
+        args = parser.parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()
         return code

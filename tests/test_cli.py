@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -75,7 +76,8 @@ def test_fpoly_json_terms(capsys):
 
 
 def test_fpoly_usage_errors(capsys):
-    assert run(capsys, "fpoly", "11")[0] == 2
+    assert run(capsys, "fpoly", "14") == (
+        2, "", "error: length must be in 1..13\n")
     assert run(capsys, "fpoly", "0")[0] == 2
     assert run(capsys, "fpoly", "3", "--bind", "w=1")[0] == 2
     assert run(capsys, "fpoly", "3", "--bind", "x=oops")[0] == 2
@@ -238,8 +240,22 @@ def test_fpoly_stream_matches_sorted_route(capsys, n):
                                recurrence.joint_poly(n)), fmt
 
 
-# recorded through _emit_poly(joint_poly(n)) before unbound fpoly rendered
-# runs; fpoly caps n at 10, so these call _emit_runs directly
+class HashSink(io.TextIOBase):
+    """A stdout that keeps only the sha256 and the length of what it gets."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+        self.written = 0
+
+    def write(self, text):
+        self.sha256.update(text.encode())
+        self.written += len(text)
+        return len(text)
+
+
+# n = 11, 12: recorded through _emit_poly(joint_poly(n)) before unbound
+# fpoly rendered runs; n = 13: recorded through the whole-string _emit_runs
+# before it wrote in chunks (and equal to _emit_poly's digests)
 STREAM_SHA256 = {
     (11, "plain"):
         "7691131be116cd7411bd6cf3c7e281307cfc6c02425c111d6b8edfd23d41f59b",
@@ -253,14 +269,56 @@ STREAM_SHA256 = {
         "f77947db86ece097e011ef9a5a65175e25055c5d815cd3e0b123eb5d6312c429",
     (12, "json"):
         "48b9963c12f1883c31f4f70a8f229d032a6003cf8b05908efd9784e612ef3e4e",
+    (13, "plain"):
+        "f2225d06e54ba0f9654326bb53009b2aaa8b01ab9ffc8613affac888112eb72c",
+    (13, "csv"):
+        "bd410a277a9933cf262bd84ed705a35a1fd66317bb3d1a79315c8dbe7c003c5a",
+    (13, "json"):
+        "bddf0b6f3276ae02a060e16fab8057cdf5c1d94ff065f0d108d5d578c8e1caf4",
 }
 
 
 @pytest.mark.parametrize("n,fmt", STREAM_SHA256)
-def test_stream_golden_past_the_cap(n, fmt):
-    out = _printed(cli._emit_runs, fmt, {"n": n, "bind": {}},
-                   recurrence.joint_runs(n))
-    assert hashlib.sha256(out.encode()).hexdigest() == STREAM_SHA256[n, fmt]
+def test_stream_golden_past_the_cap(monkeypatch, n, fmt):
+    sink = HashSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["fpoly", str(n), "--format", fmt]) == 0
+    assert sink.sha256.hexdigest() == STREAM_SHA256[n, fmt]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_stream_chunk_boundaries(monkeypatch, chunk):
+    """Chunks of a few terms put a boundary between most pairs of terms:
+    each format must still be _emit_poly's, byte for byte."""
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    for n in range(1, 8):
+        params = {"n": n, "bind": {}}
+        poly = recurrence.joint_poly(n)
+        for fmt in ("plain", "csv", "json"):
+            assert (_printed(cli._emit_runs, fmt, params,
+                             recurrence.joint_runs(n))
+                    == _printed(cli._emit_poly, fmt, params, poly)), (n, fmt)
+
+
+def test_stream_memory_is_bounded(monkeypatch):
+    """The render holds a chunk of text at a time, not the output: the json
+    render's traced peak stays below the 10 MB it writes, and within 25 %
+    of the csv render's, whose output is a tenth of the size."""
+    runs = list(recurrence.joint_runs(11))
+    peak = {}
+    for fmt in ("csv", "json"):
+        sink = HashSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            cli._emit_runs(argparse.Namespace(format=fmt), "fpoly",
+                           {"n": 11, "bind": {}}, runs)
+            peak[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.sha256.hexdigest() == STREAM_SHA256[11, fmt]
+    assert peak["json"] < sink.written
+    assert peak["json"] <= 1.25 * peak["csv"]
 
 
 def stream_runs():
@@ -319,6 +377,26 @@ def test_fpoly_refuses_unprintable_values(capsys, default_int_digits):
                        "--format", "csv")
     assert code == 0
     assert out.splitlines()[-1] == "1" + "0" * 3000 + ",1,0,0,0,0"
+
+
+def test_integers_past_the_digit_limit(capsys, default_int_digits):
+    """int() refuses more than 4300 digits; the command line says so, in a
+    short message, instead of calling the value malformed."""
+    big = "1" + "0" * 5000
+    message = ("error: integer '10000000000000000000...' has 5001 digits, "
+               "past Python's limit of 4300 for reading an int\n")
+    for argv in (["fpoly", "3", "--bind", f"p={big}"],
+                 ["fpoly", "3", "--columns", f"q=1,{big}"],
+                 ["freq", f"1,{big}"], ["fpoly", big]):
+        assert run(capsys, *argv) == (2, "", message), argv[:3]
+    assert len(message) < 200
+    # leading zeros count, as they do for int(); a sign does not
+    assert run(capsys, "fpoly", "3", "--bind", "p=" + "0" * 4301)[0] == 2
+    assert run(capsys, "fpoly", "2", "--bind", "p=-" + "0" * 4299 + "1") == (
+        0, "x^2*y*z - x\n", "")
+    # a malformed value is quoted by its prefix only
+    assert run(capsys, "fpoly", "3", "--bind", f"p={big}x") == (
+        2, "", "error: binding 'p=100000000000000000...' is not var=integer\n")
 
 
 # ------------------------------------------------------------------ verify
