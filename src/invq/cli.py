@@ -24,8 +24,8 @@ import math
 import os
 import re
 import sys
-from itertools import chain, repeat
-from operator import add, and_, itemgetter
+from itertools import accumulate, chain, filterfalse, repeat
+from operator import add, itemgetter, sub
 from typing import Callable
 
 from . import identities, paths, recurrence
@@ -52,12 +52,14 @@ def _shown(text: str) -> str:
 def integer(text: str) -> int:
     """An optional sign and ASCII digits as an int, for every integer the
     command line takes; int() alone would also read "1_0", " 1 " and
-    non-ASCII digits.  More digits than int() reads
-    (`sys.get_int_max_str_digits()`, leading zeros included; 0 or no
-    limit at all means none) are a UsageError of their own, not a
-    malformed integer."""
+    non-ASCII digits.  Anything else raises argparse.ArgumentTypeError,
+    whose message argparse prints as it is, quoting a short prefix of the
+    text (for a ValueError it would quote the whole text).  More digits
+    than int() reads (`sys.get_int_max_str_digits()`, leading zeros
+    included; 0 or no limit at all means none) are a UsageError of their
+    own, not a malformed integer."""
     if not _INTEGER.fullmatch(text):
-        raise ValueError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an integer: {_shown(text)}")
     limit = getattr(sys, "get_int_max_str_digits", int)()
     digits = len(text.lstrip("+-"))
     if limit and digits > limit:
@@ -74,7 +76,7 @@ def _parse_bindings(text: str) -> dict[str, int]:
         name, _, value = piece.partition("=")
         try:
             value = integer(value)
-        except ValueError:
+        except argparse.ArgumentTypeError:
             raise UsageError(
                 f"binding {_shown(piece)} is not var=integer") from None
         if name == "all":
@@ -95,14 +97,14 @@ def _parse_columns(text: str) -> list[int]:
         raise UsageError("--columns expects the form q=1,0,-1")
     try:
         return [integer(v) for v in text[2:].split(",")]
-    except ValueError:
+    except argparse.ArgumentTypeError:
         raise UsageError("--columns values must be integers") from None
 
 
 def _parse_counts(text: str) -> tuple[int, ...]:
     try:
         return tuple(integer(v) for v in text.split(","))
-    except ValueError:
+    except argparse.ArgumentTypeError:
         raise UsageError("counts must be comma-separated integers") from None
 
 
@@ -124,12 +126,13 @@ def _emit(args, command: str, params: dict, result: dict,
 
 # one element of the json terms array, as json.dumps(indent=2) lays out a
 # MultiPoly.to_json_terms() entry at that depth of the envelope: the head,
-# the coefficient, the (ex, ey, ez, ep) part and the eq part
+# the coefficient, a part for each of ex, ey, ez and ep, and the eq part,
+# which closes the element
 _JSON_HEAD = '      {\n        "coeff": '
-_JSON_RUN = (',\n        "ex": %d,\n        "ey": %d,\n        "ez": %d,\n'
-             '        "ep": %d,\n        "eq": ')
-_JSON_EQ = '%d\n      }'
-_JSON_TERM = _JSON_HEAD + "%d" + _JSON_RUN + _JSON_EQ
+_JSON_PARTS = (',\n        "ex": %d', ',\n        "ey": %d',
+               ',\n        "ez": %d', ',\n        "ep": %d',
+               ',\n        "eq": %d\n      }')
+_JSON_TERM = _JSON_HEAD + "%d" + "".join(_JSON_PARTS)
 
 
 def _write_poly_json(command: str, params: dict, text, terms) -> int:
@@ -186,36 +189,8 @@ def _emit_poly(args, command: str, params: dict, poly: MultiPoly) -> int:
         term % (c, a, b, z, d, e) for (a, b, z, d, e), c in items]),))
 
 
-def _term_order(runs: list, lens: list[int], top: int) -> list[int]:
-    """The terms of `runs` (`recurrence.joint_runs`), numbered run by run
-    and q^0 upward within a run, in `MultiPoly.sorted_items` order: total
-    degree, then (ex, ey, ez, ep, eq), all descending.  `lens` are the
-    runs' lengths and `top` their largest exponent.
-
-    Each term's sort key is one int with the fields (degree, ex, ey, ez,
-    ep, index), the exponents w bits each and the index iw bits, wide
-    enough for the largest of each; eq needs no field, since the degree and
-    the other four fix it.  Along a run only eq steps, which adds 1 to the
-    degree and to the index, so the keys of a run are one range with that
-    stride.  The index makes the keys distinct, so one sort of the ints
-    orders the terms, and their low bits give the order.
-    """
-    w = top.bit_length()
-    iw = (sum(lens) - 1).bit_length()
-    stride = (1 << (4 * w + iw)) + 1
-    keys: list[int] = []
-    index = 0
-    for (ex, ey, ez, ep, _), m in zip(runs, lens):
-        key = ((((ex + ey + ez + ep) << w | ex) << w | ey) << w | ez) << w | ep
-        key = key << iw | index
-        keys += range(key, key + m * stride, stride)
-        index += m
-    keys.sort(reverse=True)
-    return list(map(and_, keys, repeat((1 << iw) - 1)))
-
-
-# _emit_runs renders and writes this many terms at a time, so its peak
-# memory is the scan's, whatever the format and the size of the output
+# _emit_runs renders and writes at most this many terms at a time, so its
+# peak memory is the scan's, whatever the format and the size of the output
 _CHUNK = 4096
 
 
@@ -224,29 +199,54 @@ def _emit_runs(args, command: str, params: dict, runs) -> int:
     (ex, ey, ez, ep, coeffs) with positive coeffs from q^0 upward and with
     x^ex, ex >= 1, in every monomial (`recurrence.joint_runs`).
 
-    The coefficients, each term's run and each term's eq are put in
-    `_term_order` once.  Every format then joins, `_CHUNK` terms at a time,
-    the coefficient's text, a text per run and a text per eq, in C-level
-    maps with no Python frame per term, and writes each chunk as it is
-    joined; `_emit_poly` is its oracle.
+    The runs are ranked once by (ex, ey, ez, ep), descending.  Within one
+    total degree d, eq = d - (ex + ey + ez + ep) is fixed, so the terms of
+    degree d in `sorted_items` order are those of the runs in rank order.
+    The output is a sweep over the degrees from the top down: a run whose
+    q^0 term has degree b has a term of each degree in [b, b + len(coeffs)
+    - 1], so it enters the sorted list of active ranks at its top degree
+    and leaves it below b.  A degree's block reads its coefficients from
+    one flat list and joins its terms, `_CHUNK` at a time, from the
+    coefficient's text, texts per run and a text per eq, in C-level maps
+    with no Python frame per term; each chunk is written as it is joined.
+    No sort key and no term order is built.  `_emit_poly` is its oracle.
     """
-    runs = list(runs)
+    runs = sorted(runs, reverse=True)  # rank order: no two share a head
     lens = list(map(len, map(itemgetter(4), runs)))
-    top = max(max(map(max, map(itemgetter(slice(4)), runs))), max(lens) - 1)
-    order = _term_order(runs, lens, top)
-    coeffs, run_of, eq_of = (list(map(seq.__getitem__, order)) for seq in (
-        list(chain.from_iterable(map(itemgetter(4), runs))),
-        list(chain.from_iterable(map(repeat, range(len(runs)), lens))),
-        list(chain.from_iterable(map(range, lens)))))
+    coeffs = list(chain.from_iterable(map(itemgetter(4), runs)))
+    columns = [list(map(itemgetter(i), runs)) for i in range(4)]  # ex .. ep
+    del runs
+    bases = list(map(sum, zip(*columns)))
+    # the coefficient of degree d of the run ranked r is coeffs[offs[r] + d]
+    offs = list(map(sub, accumulate(lens, initial=0), bases))
+    top = max(map(add, bases, lens)) - 1
+    entering: list[list[int]] = [[] for _ in range(top + 1)]
+    leaving: list[list[int]] = [[] for _ in range(top + 1)]
+    for rank, (base, m) in enumerate(zip(bases, lens)):
+        entering[base + m - 1].append(rank)
+        leaving[base].append(rank)
 
-    def chunks(sep: str, per_run: list[str], per_eq: list[str]):
-        # the terms joined by sep, a chunk at a time, each chunk led by sep
-        for i in range(0, len(coeffs), _CHUNK):
-            part = slice(i, i + _CHUNK)
-            firsts = map(add, map(str, coeffs[part]),
-                         map(per_run.__getitem__, run_of[part]))
-            yield sep + sep.join(map(add, firsts,
-                                     map(per_eq.__getitem__, eq_of[part])))
+    def chunks(sep: str, per_run: list[list[str]], per_eq: list[str]):
+        # the terms joined by sep, at most _CHUNK at a time, each chunk led
+        # by sep: a term is its coefficient's text, the text of its run's
+        # rank in each list of per_run, and per_eq[eq]
+        active: list[int] = []  # the ranks with a term of degree d, sorted
+        for d in range(top, -1, -1):
+            if entering[d]:
+                active += entering[d]
+                active.sort()  # merges two sorted runs
+            eq_of_base = per_eq[d::-1]  # the text of eq = d - b at index b
+            for i in range(0, len(active), _CHUNK):
+                part = active[i:i + _CHUNK]
+                yield "".join(chain.from_iterable(zip(
+                    repeat(sep),
+                    map(str, map(coeffs.__getitem__, map(
+                        add, map(offs.__getitem__, part), repeat(d)))),
+                    *(map(texts.__getitem__, part) for texts in per_run),
+                    map(eq_of_base.__getitem__, map(bases.__getitem__, part)))))
+            if leaving[d]:
+                active = list(filterfalse(set(leaving[d]).__contains__,
+                                          active))
 
     def text():
         # format_terms writes a coefficient 1 as the bare monomial.  Every
@@ -256,35 +256,44 @@ def _emit_runs(args, command: str, params: dict, runs) -> int:
         # only between terms.  Every chunk is led by " + ", so the rule
         # holds for each chunk's first term; only the first chunk drops it.
         x, y, z, p, q = power_tables(top)
-        pieces = (chunk.replace(" + 1*", " + ") for chunk in chunks(
-            " + ", [x[a] + y[b] + z[c] + p[d] for a, b, c, d, _ in runs], q))
+        monomials = [x[a] + y[b] + z[c] + p[e] for a, b, c, e in zip(*columns)]
+        pieces = (chunk.replace(" + 1*", " + ")
+                  for chunk in chunks(" + ", [monomials], q))
         yield next(pieces)[3:]
         yield from pieces
 
     out = sys.stdout
-    eqs = range(top + 1)
+    exponents = range(top + 1)
     if args.format == "csv":
         out.write("coeff,ex,ey,ez,ep,eq")
-        out.writelines(chunks("\n", [",%d,%d,%d,%d," % r[:4] for r in runs],
-                              list(map(str, eqs))))
+        out.writelines(chunks(
+            "\n", [[",%d,%d,%d,%d," % head for head in zip(*columns)]],
+            list(map(str, exponents))))
     elif args.format == "plain":
         out.writelines(text())
     else:
-        # the head of each term rides on the separator: the writer drops
-        # only the ",\n" that leads the first chunk
-        return _write_poly_json(
-            command, params, text(),
-            chunks(",\n" + _JSON_HEAD, [_JSON_RUN % run[:4] for run in runs],
-                   [_JSON_EQ % e for e in eqs]))
+        def terms():
+            # built once the text is written.  Each run points at a text in
+            # one table per exponent: a json text per run would hold more
+            # than the rest of the render.  The head of each term rides on
+            # the separator; the writer drops only the ",\n" that leads the
+            # first chunk
+            *tables, per_eq = [[part % e for e in exponents]
+                               for part in _JSON_PARTS]
+            yield from chunks(",\n" + _JSON_HEAD, [
+                list(map(table.__getitem__, column))
+                for table, column in zip(tables, columns)], per_eq)
+
+        return _write_poly_json(command, params, text(), terms())
     out.write("\n")
     return 0
 
 
 # fpoly enumerates nothing, so its cap bounds the size of the output and
-# the memory.  fpoly 13 --format json writes 42 MB with a peak RSS of 53 MB,
+# the memory.  fpoly 13 --format json writes 42 MB with a peak RSS of 31 MB,
 # the scan's, in 0.6 s; the costliest bound route, a negative y with q free
 # (through eval_partial), peaks at 76 MB in 1.1 s at --bind y=-2.  At 14,
-# json would write 78 MB and peak at 87 MB (2 vCPUs, Python 3.11)
+# json would write 78 MB and peak at 43 MB in 1.5 s (2 vCPUs, Python 3.11)
 MAX_FPOLY_LENGTH = 13
 
 

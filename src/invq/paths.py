@@ -161,7 +161,11 @@ def dyck_stats(word: LatticePath) -> DyckStats:
     are measured at the top: the first peak has every E before the first
     N below it, the last peak every N after the last E.
     """
-    validate_path(word)
+    return _dyck_core(validate_path(word))
+
+
+def _dyck_core(word: LatticePath) -> DyckStats:
+    """dyck_stats of a word already known to be a path."""
     return DyckStats(word.count("EN"), word.count("NE"),
                      countOf(accumulate(map(_STEP.get, word)), 0),
                      word.index("N"), len(word) - 1 - word.rindex("E"))
@@ -244,8 +248,10 @@ def returns_triangle_row(n: int) -> list[int]:
 
 @cache
 def _dyck_tally(n: int) -> Counter:
-    """Paths of semilength n by DyckStats: the one walk the readers below share."""
-    return Counter(map(dyck_stats, lattice_paths(n)))
+    """Paths of semilength n by DyckStats: the one walk the readers below
+    share.  The walk builds its members valid, so the unvalidated core
+    reads them."""
+    return Counter(map(_dyck_core, lattice_paths(n)))
 
 
 def dyck_distribution(n: int, key: Callable[[DyckStats], Hashable]) -> Counter:

@@ -286,10 +286,22 @@ def test_stream_golden_past_the_cap(monkeypatch, n, fmt):
     assert sink.sha256.hexdigest() == STREAM_SHA256[n, fmt]
 
 
+class WriteLog(io.TextIOBase):
+    """A stdout that keeps each piece written to it."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return len(text)
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
 def test_stream_chunk_boundaries(monkeypatch, chunk):
     """Chunks of a few terms put a boundary between most pairs of terms:
-    each format must still be _emit_poly's, byte for byte."""
+    each format must still be _emit_poly's, byte for byte, and no write
+    holds more than a chunk of terms."""
     monkeypatch.setattr(cli, "_CHUNK", chunk)
     for n in range(1, 8):
         params = {"n": n, "bind": {}}
@@ -298,6 +310,11 @@ def test_stream_chunk_boundaries(monkeypatch, chunk):
             assert (_printed(cli._emit_runs, fmt, params,
                              recurrence.joint_runs(n))
                     == _printed(cli._emit_poly, fmt, params, poly)), (n, fmt)
+        log = WriteLog()
+        with contextlib.redirect_stdout(log):
+            cli._emit_runs(argparse.Namespace(format="csv"), "fpoly", params,
+                           recurrence.joint_runs(n))
+        assert max(piece.count("\n") for piece in log.pieces) <= chunk
 
 
 def test_stream_memory_is_bounded(monkeypatch):
@@ -321,6 +338,29 @@ def test_stream_memory_is_bounded(monkeypatch):
     assert peak["json"] <= 1.25 * peak["csv"]
 
 
+def test_render_peak_below_runs(monkeypatch):
+    """The render holds no whole-polynomial sort key, order or permuted
+    list: in every format, its traced peak above the runs it is handed
+    stays below the runs' own size."""
+    list(recurrence.joint_runs(12))  # the scan's caches, outside the count
+    tracemalloc.start()
+    try:
+        runs = list(recurrence.joint_runs(12))
+        size = tracemalloc.get_traced_memory()[0]
+        for fmt in ("plain", "csv", "json"):
+            sink = HashSink()
+            monkeypatch.setattr(sys, "stdout", sink)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            cli._emit_runs(argparse.Namespace(format=fmt), "fpoly",
+                           {"n": 12, "bind": {}}, runs)
+            peak = tracemalloc.get_traced_memory()[1] - held
+            assert sink.sha256.hexdigest() == STREAM_SHA256[12, fmt]
+            assert peak < size, (fmt, peak, size)
+    finally:
+        tracemalloc.stop()
+
+
 def stream_runs():
     """Runs of the shape joint_runs gives: distinct (ex, ey, ez, ep) with
     ex >= 1 and positive coefficients from q^0 upward.  Small coefficients
@@ -341,6 +381,9 @@ def stream_runs():
 # would read as (1, 0, 1, 8, 0), ahead of (1, 0, 1, 1, 38)
 @example([(1, 0, 0, 40, [1]), (1, 0, 1, 1, [1] * 40)])
 @example([(2, 0, 0, 0, [11, 1, 21]), (1, 3, 0, 0, [1, 1])])
+# no term of degree 2: the sweep's active set empties there, and must
+# write no separator for it
+@example([(3, 0, 0, 0, [1]), (1, 0, 0, 0, [1])])
 def test_stream_matches_sorted_route_on_runs(runs):
     poly = MultiPoly({(*head, eq): c
                       for *head, cs in runs for eq, c in enumerate(cs)})
@@ -397,6 +440,23 @@ def test_integers_past_the_digit_limit(capsys, default_int_digits):
     # a malformed value is quoted by its prefix only
     assert run(capsys, "fpoly", "3", "--bind", f"p={big}x") == (
         2, "", "error: binding 'p=100000000000000000...' is not var=integer\n")
+
+
+def test_malformed_integer_arguments_are_quoted_short(capsys):
+    """argparse's own message for a malformed integer argument quotes the
+    whole value; the command line quotes a short prefix."""
+    bad = "1_" + "0" * 3000
+    for argv in (["fpoly", bad], ["verify", "paths", bad],
+                 ["verify", "identities", "3", "--trunc", bad],
+                 ["sequence", "catalan", bad], ["lnk", bad, "1"],
+                 ["lnk", "3", bad], ["expand", bad]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, argv[:2]
+        assert "error: argument " in err, argv[:2]
+        assert "not an integer: '1_000000000000000000...'" in err, argv[:2]
+        assert len(err) < 400, argv[:2]
 
 
 # ------------------------------------------------------------------ verify

@@ -10,6 +10,7 @@ import pytest
 from invq.invseq import inversion_sequences, sequence_stats
 from invq.paths import (
     DyckStats,
+    _dyck_core,
     _path_core,
     _sequence_core,
     catalan,
@@ -133,6 +134,17 @@ def test_dyck_stats_worked():
         first_peak_height=2, last_peak_height=1)
     assert dyck_stats("EN") == DyckStats(1, 0, 1, 1, 1)
     assert dyck_stats("EEENNN") == DyckStats(1, 0, 1, 3, 3)
+
+
+def test_dyck_core_matches_and_dyck_stats_validates():
+    # the tally reads its walk's members with the unvalidated core; the
+    # public dyck_stats keeps validating outside input
+    for n in range(1, 10):
+        for w in lattice_paths(n):
+            assert _dyck_core(w) == dyck_stats(w)
+    for bad in ("EX", "NE", "EENNN", "ENNE", "", "EN\n", "NNEE"):
+        with pytest.raises(ValueError):
+            dyck_stats(bad)
 
 
 def test_reverse_swap_example_and_involution():
