@@ -17,9 +17,10 @@ x^noz y^tel z^uel p^sum q^inv to each sequence.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, defaultdict
-from itertools import combinations, product, repeat, starmap
-from operator import gt
+from itertools import chain, combinations, product, repeat, starmap
+from operator import gt, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .polyring import MultiPoly, QLaurent
@@ -86,6 +87,32 @@ def inversion_counts(words: Iterable[Sequence[int]]) -> Iterator[int]:
     return map(sum, map(starmap, repeat(gt), map(combinations, words, repeat(2))))
 
 
+def walk_inversions(n: int) -> Iterator[int]:
+    """The inversions of every member of I_n, in `inversion_sequences(n)`
+    order, for n up to MAX_ENUM_LENGTH; the bounds are checked at the call.
+
+    A member is a prefix p in I_{n-1} followed by a last entry v, and the
+    inversions ending at v are the entries of p above it (the inversion
+    table view, Knuth, TAOCP Vol. 3, 5.1.1):
+    inv(p v) = inv(p) + (n - 1) - bisect_right(sorted(p), v).  So each
+    prefix costs one sort and n bisects, mapped in C, and no pair compare.
+
+    >>> list(walk_inversions(3))
+    [0, 0, 0, 1, 0, 0]
+    """
+    inversion_sequences(n)  # checks the bounds at the call
+    if n == 1:
+        return iter((0,))
+    top, lasts = n - 1, range(n)
+
+    def members(inv: int, prefix: InvSeq) -> Iterator[int]:
+        above = map(bisect_right, repeat(sorted(prefix)), lasts)
+        return map(sub, repeat(inv + top), above)
+
+    return chain.from_iterable(
+        map(members, walk_inversions(n - 1), inversion_sequences(n - 1)))
+
+
 def sequence_stats(e: Iterable[int]) -> SeqStats:
     """All five statistics (plus dist and maxent) in one pass.
 
@@ -119,8 +146,8 @@ def format_sequence(e: Iterable[int]) -> str:
 
 def _class_tally(n: int) -> dict[bytes, dict[int, int]]:
     """I_n grouped by sorted form: {sorted e: {inv: count}}, from one
-    pass (not cached) over two walks of I_n in step, the inversions of each
-    sequence taken by `inversion_counts`.
+    pass (not cached) over two walks of I_n in step: the sequences, and
+    their inversions counted from their prefixes by `walk_inversions`.
 
     Sorting keeps the multiset of entries, so the frequency vector and the
     noz, tel, uel and sum statistics, and the sorted form is itself a
@@ -129,7 +156,7 @@ def _class_tally(n: int) -> dict[bytes, dict[int, int]]:
     pairs and the tally built from it are the walk's peak memory.  Keys
     come in the order the walk first meets them."""
     pairs = Counter(zip(map(bytes, map(sorted, inversion_sequences(n))),
-                        inversion_counts(inversion_sequences(n))))
+                        walk_inversions(n)))
     tally: defaultdict[bytes, dict[int, int]] = defaultdict(dict)
     for (w, inv), c in pairs.items():
         tally[w][inv] = c

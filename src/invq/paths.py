@@ -44,17 +44,22 @@ class DyckStats(NamedTuple):
 def weakly_increasing_sequences(n: int) -> Iterator[InvSeq]:
     """The Catalan-many weakly increasing members of I_n, lexicographically.
 
-    An odometer over the digits e_1 .. e_{n-1}: the last digit below its
-    bound i steps up, and every digit after it is reset to that new value
-    instead of to 0, so only weakly increasing words are visited.
+    An odometer over the digits e_1 .. e_{n-1}: the last digit runs from
+    its current value to its bound n - 1 in an inner loop; then the last
+    digit below its bound i steps up, and every digit after it is reset to
+    that new value instead of to 0, so only weakly increasing words are
+    visited and the carry is scanned once per prefix, not once per word.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
 
     e = [0] * n
+    last = n - 1
     while True:
-        yield tuple(e)
-        i = n - 1
+        for v in range(e[last], n):
+            e[last] = v
+            yield tuple(e)
+        i = last - 1
         while i > 0 and e[i] == i:
             i -= 1
         if i <= 0:

@@ -75,12 +75,18 @@ def format_terms(items: list[tuple[ExpVec, int]]) -> str:
     return _join_signed(chunks)
 
 
+def _variable_index(name: str) -> int:
+    """The slot of `name` in an exponent vector; refuse an unknown name."""
+    if name not in VARIABLES:
+        raise ValueError(f"unknown variable {name!r}")
+    return VARIABLES.index(name)
+
+
 def check_bindings(bindings: Mapping[str, int]) -> None:
     """Refuse a binding of an unknown variable or to a value that is not an
     int (a bool included), as every substitution into a MultiPoly does."""
     for name, v in bindings.items():
-        if name not in VARIABLES:
-            raise ValueError(f"unknown variable {name!r}")
+        _variable_index(name)
         if type(v) is not int:
             raise ValueError(f"bad value {v!r} for {name}")
 
@@ -254,8 +260,7 @@ class MultiPoly(TermMap):
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        if name not in VARIABLES:
-            raise ValueError(f"unknown variable {name!r}")
+        _variable_index(name)
         key = tuple(1 if v == name else 0 for v in VARIABLES)
         return cls._raw({key: 1})
 
@@ -283,7 +288,7 @@ class MultiPoly(TermMap):
         >>> f.marginal("x", 2)
         [1, 3]
         """
-        i = VARIABLES.index(name)
+        i = _variable_index(name)
         if type(length) is not int or length < 0:
             raise ValueError(f"bad length {length!r}")
         row = [0] * length
@@ -363,7 +368,9 @@ class MultiPoly(TermMap):
 
     def truncate(self, name: str, max_exp: int) -> "MultiPoly":
         """Drop every term whose exponent of `name` exceeds max_exp."""
-        i = VARIABLES.index(name)
+        i = _variable_index(name)
+        if type(max_exp) is not int:  # refuses bool too
+            raise ValueError(f"bad max_exp {max_exp!r}")
         return MultiPoly._raw(
             {k: c for k, c in self._terms.items() if k[i] <= max_exp})
 

@@ -166,10 +166,13 @@ def run_tau(nmax: int, trunc: int | None = None) -> list[CheckResult]:
     # The walk's members are in I_n by construction, so they go to the
     # unvalidated core; every image goes back through the public map,
     # which refuses one outside I_n: that image fails the involution check.
+    # A member's inversions come from its prefix (`walk_inversions`), an
+    # image's from its pairs (`inversions`): the unit-change test compares
+    # two different counters.
     @cache
     def scan(n: int) -> tuple[bool, int]:
         involutive, fixed = True, 0
-        invs = invseq.inversion_counts(invseq.inversion_sequences(n))
+        invs = invseq.walk_inversions(n)
         for e, inv in zip(invseq.inversion_sequences(n), invs):
             image = paths._involution_core(e)
             if image == e:

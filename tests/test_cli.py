@@ -728,6 +728,15 @@ GOLDEN_SHA256 = {
         "65dfbcf4173adaf8a6eb65c45bc3b87f95f2398c039584e5cccfaf11b2107b2f",
     "verify tau 8 --format json":
         "c63906b4568bf6e178b1b20ae78ac2be7d677389aa07611b6f3fe89099501783",
+    # recorded before the I_n walks counted inversions from their prefixes
+    # and the weakly increasing odometer stepped its last digit in a loop:
+    # the enumeration rows, and catalan_counts to n = 12
+    "verify recurrence 8 --format json":
+        "efa35a979ab69b8575518dd98ed6686dc4087892a0edf1b5b6881d94e9db5a07",
+    "verify freq 8 --format json":
+        "9e517109164715bb6cbd39ddd2fdd70e05becc43df63b197eea7ccca1b23f64c",
+    "verify paths 12 --format json":
+        "cf4e9427aa20b1f625a1168789a47bada9446ae3ccf62973b1afb2fc0d9fbf3a",
 }
 
 

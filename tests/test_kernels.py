@@ -27,6 +27,7 @@ from invq.invseq import (
     occurrence_counts,
     sequence_stats,
     validate,
+    walk_inversions,
 )
 from invq.paths import _path_core, path_from_sequence, weakly_increasing_sequences
 from invq.polyring import MultiPoly, QLaurent
@@ -142,6 +143,19 @@ def test_inversion_sequence_kernels_match_loops(n):
 def test_inversion_counts_over_inversion_sequences(n):
     assert list(inversion_counts(inversion_sequences(n))) == list(
         map(inversions, inversion_sequences(n)))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_walk_inversions_matches_inversion_counts(n):
+    # the prefix counter against the pair counter, in walk order
+    assert list(walk_inversions(n)) == list(
+        inversion_counts(inversion_sequences(n)))
+
+
+@pytest.mark.parametrize("n", [0, -1, 13])
+def test_walk_inversions_refuses_length_at_the_call(n):
+    with pytest.raises(ValueError, match="length"):
+        walk_inversions(n)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

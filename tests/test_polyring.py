@@ -253,9 +253,23 @@ def test_marginal_and_truncate(golden_polys):
     for bad in (-1, 2.0, True):
         with pytest.raises(ValueError, match="bad length"):
             f2.marginal("x", bad)
-    with pytest.raises(ValueError):
-        f2.marginal("w", 3)
     assert f2.truncate("x", 1) == MultiPoly.monomial(1, ex=1, ep=1)
+    assert f2.truncate("x", -1) == MultiPoly.zero()
+
+
+@pytest.mark.parametrize("name", ["w", "X", "", 0, None])
+def test_marginal_and_truncate_refuse_unknown_variable(golden_polys, name):
+    f2 = golden_polys[2]
+    with pytest.raises(ValueError, match=f"unknown variable {name!r}"):
+        f2.marginal(name, 3)
+    with pytest.raises(ValueError, match=f"unknown variable {name!r}"):
+        f2.truncate(name, 1)
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, False, "1", None])
+def test_truncate_refuses_non_int_max_exp(golden_polys, bad):
+    with pytest.raises(ValueError, match="bad max_exp"):
+        golden_polys[2].truncate("x", bad)
 
 
 def marginal_polys():

@@ -1,5 +1,6 @@
-"""The enumeration of I_n and the explicit Comtet sum, each against the
-hand-written walk it replaced, kept here as the reference."""
+"""The enumerations of I_n and of its weakly increasing members, and the
+explicit Comtet sum, each against the hand-written walk it replaced, kept
+here as the reference."""
 
 import pytest
 
@@ -23,6 +24,18 @@ def inversion_sequences_odometer(n):
         if i <= 0:
             return
         e[i] += 1
+
+
+def weakly_increasing_odometer(n):
+    e = [0] * n
+    while True:
+        yield tuple(e)
+        i = n - 1
+        while i > 0 and e[i] == i:
+            i -= 1
+        if i <= 0:
+            return
+        e[i:] = [e[i] + 1] * (n - i)
 
 
 def comtet_coeff_compositions(n, k):
@@ -52,6 +65,12 @@ def comtet_coeff_compositions(n, k):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_inversion_sequences_match_odometer(n):
     assert list(inversion_sequences(n)) == list(inversion_sequences_odometer(n))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_weakly_increasing_sequences_match_odometer(n):
+    assert list(weakly_increasing_sequences(n)) == list(
+        weakly_increasing_odometer(n))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
