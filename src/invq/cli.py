@@ -167,6 +167,12 @@ def _write_poly_json(command: str, params: dict, text, terms) -> int:
     return 0
 
 
+# the json terms of _emit_poly and every format of _emit_runs are rendered
+# and written at most this many terms at a time, so no terms array is one
+# string: _emit_runs peaks at the scan's memory, whatever the output's size
+_CHUNK = 4096
+
+
 def _emit_poly(args, command: str, params: dict, poly: MultiPoly) -> int:
     # one sort; each format renders only what it prints
     items = poly.sorted_items()
@@ -186,12 +192,9 @@ def _emit_poly(args, command: str, params: dict, poly: MultiPoly) -> int:
         return 0
     term = ",\n" + _JSON_TERM
     return _write_poly_json(command, params, (text,), ("".join([
-        term % (c, a, b, z, d, e) for (a, b, z, d, e), c in items]),))
-
-
-# _emit_runs renders and writes at most this many terms at a time, so its
-# peak memory is the scan's, whatever the format and the size of the output
-_CHUNK = 4096
+        term % (c, a, b, z, d, e)
+        for (a, b, z, d, e), c in items[i:i + _CHUNK]])
+        for i in range(0, len(items), _CHUNK)))
 
 
 def _emit_runs(args, command: str, params: dict, runs) -> int:
@@ -291,9 +294,10 @@ def _emit_runs(args, command: str, params: dict, runs) -> int:
 
 # fpoly enumerates nothing, so its cap bounds the size of the output and
 # the memory.  fpoly 13 --format json writes 42 MB with a peak RSS of 31 MB,
-# the scan's, in 0.6 s; the costliest bound route, a negative y with q free
-# (through eval_partial), peaks at 76 MB in 1.1 s at --bind y=-2.  At 14,
-# json would write 78 MB and peak at 43 MB in 1.5 s (2 vCPUs, Python 3.11)
+# the scan's, in 0.5 s.  The costliest bound route, y = 2 or -2 with q free,
+# holds its whole MultiPoly and sorted items: 46 MB in 0.45 s in any format.
+# At 14, json would write 78 MB and peak at 43 MB in 1.6 s, and --bind y=-2
+# would peak at 65 MB in 1.2 s (2 vCPUs, Python 3.11)
 MAX_FPOLY_LENGTH = 13
 
 

@@ -49,44 +49,53 @@ def weakly_increasing_sequences(n: int) -> Iterator[InvSeq]:
     digit below its bound i steps up, and every digit after it is reset to
     that new value instead of to 0, so only weakly increasing words are
     visited and the carry is scanned once per prefix, not once per word.
+    The length is checked at the call, before any sequence is made.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
 
-    e = [0] * n
-    last = n - 1
-    while True:
-        for v in range(e[last], n):
-            e[last] = v
-            yield tuple(e)
-        i = last - 1
-        while i > 0 and e[i] == i:
-            i -= 1
-        if i <= 0:
-            return
-        e[i:] = [e[i] + 1] * (n - i)
+    def walk() -> Iterator[InvSeq]:
+        e = [0] * n
+        last = n - 1
+        while True:
+            for v in range(e[last], n):
+                e[last] = v
+                yield tuple(e)
+            i = last - 1
+            while i > 0 and e[i] == i:
+                i -= 1
+            if i <= 0:
+                return
+            e[i:] = [e[i] + 1] * (n - i)
+
+    return walk()
 
 
 def lattice_paths(n: int) -> Iterator[LatticePath]:
     """All E/N words of semilength n weakly below the diagonal, E before N:
     each next word turns the last E that can become an N into one, then
-    writes the remaining Es before the Ns."""
+    writes the remaining Es before the Ns.  The semilength is checked at
+    the call, before any word is made."""
     if n < 1:
         raise ValueError("semilength must be >= 1")
 
-    word, last = "E" * n + "N" * n, "EN" * n
-    yield word
-    while word != last:
-        easts = norths = n  # counted before position i as i falls
-        for i in range(2 * n - 1, 0, -1):
-            if word[i] == "N":
-                norths -= 1
-                continue
-            easts -= 1
-            if norths < easts:
-                word = word[:i] + "N" + "E" * (n - easts) + "N" * (n - norths - 1)
-                break
+    def walk() -> Iterator[LatticePath]:
+        word, last = "E" * n + "N" * n, "EN" * n
         yield word
+        while word != last:
+            easts = norths = n  # counted before position i as i falls
+            for i in range(2 * n - 1, 0, -1):
+                if word[i] == "N":
+                    norths -= 1
+                    continue
+                easts -= 1
+                if norths < easts:
+                    word = (word[:i] + "N" + "E" * (n - easts)
+                            + "N" * (n - norths - 1))
+                    break
+            yield word
+
+    return walk()
 
 
 def validate_path(word: str) -> str:

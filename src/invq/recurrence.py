@@ -99,7 +99,8 @@ def _runs(n: int, bind: Mapping[str, int]) -> Iterator[tuple]:
     (ex, ey, ez, ep, coeffs) per state entry: coeffs[eq] is the coefficient
     of x^ex y^ey z^ez p^ep q^eq.  The scan substitutes a bound p or q (ep is
     then 0, and a bound q leaves one coefficient); a bound x, y or z keeps
-    the exponent the zeros give it, for the caller to scale by."""
+    the exponent the zeros give it, for the caller to scale by.  A p left
+    out of `bind` keeps its exponent, which the caller may scale too."""
     width, states = _class_scan(n, bind)
     r = n * (n - 1) // 2 + 1
     for above, state in enumerate(states):
@@ -140,8 +141,8 @@ def joint_poly(n: int, bind: Mapping[str, int] | None = None) -> MultiPoly:
     product and a sum of q-polynomials with constant term 1, gap-free
     support and positive coefficients keep all three, so no slot is 0.
 
-    A negative y, z or p with q free cannot be packed; that binding is
-    substituted into the full F_n.
+    A negative y, z or p with q free cannot be packed: the scan leaves that
+    variable free, and its power is a factor of each run, as for a bound x.
     """
     if n < 1:
         raise ValueError("length must be >= 1")
@@ -153,11 +154,11 @@ def joint_poly(n: int, bind: Mapping[str, int] | None = None) -> MultiPoly:
             out.update(zip(zip(repeat(ex), repeat(ey), repeat(ez), repeat(ep),
                                range(len(cs))), cs))
         return MultiPoly._raw(out)
-    if "q" not in bind and any(bind.get(v, 0) < 0 for v in "yzp"):
-        return joint_poly(n).eval_partial(bind)
+    scan = bind if "q" in bind else {v: b for v, b in bind.items() if b >= 0}
     x0, y0, z0 = map(bind.get, "xyz")
+    p0 = None if "p" in scan else bind.get("p")  # the scan left p free
     get = out.get
-    for ex, ey, ez, ep, cs in _runs(n, bind):
+    for ex, ey, ez, ep, cs in _runs(n, scan):
         scale = 1
         if x0 is not None:
             scale, ex = scale * x0 ** ex, 0
@@ -165,6 +166,8 @@ def joint_poly(n: int, bind: Mapping[str, int] | None = None) -> MultiPoly:
             scale, ey = scale * y0 ** ey, 0
         if z0 is not None:
             scale, ez = scale * z0 ** ez, 0
+        if p0 is not None:
+            scale, ep = scale * p0 ** ep, 0
         if not scale:
             continue
         for eq, c in enumerate(cs):

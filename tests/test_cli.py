@@ -705,8 +705,9 @@ GOLDEN_SHA256 = {
         "d766f49ff7ed4076c582c92d3211e54089fd085d3dfeac91d14aab7be48abf4c",
     # bindings recorded from eval_partial of the full F_n, one per route of
     # the bound class scan: q bound (int states); a negative y with q free
-    # (the eval_partial fallback); x and q bound; a value past 1 with q
-    # free (the wide slots); x, y, z and p bound to 1 (inv_poly's binding)
+    # (left free in the scan and scaled per run); x and q bound; a value
+    # past 1 with q free (the wide slots); x, y, z and p bound to 1
+    # (inv_poly's binding)
     "fpoly 8 --bind q=-1 --format json":
         "ed4ce6f3c0581c0521f1118401cb9d6d3c8ac3b29ee6dad25d677d9b5b34c299",
     "fpoly 8 --bind y=-1,p=2 --format csv":
@@ -737,6 +738,12 @@ GOLDEN_SHA256 = {
         "9e517109164715bb6cbd39ddd2fdd70e05becc43df63b197eea7ccca1b23f64c",
     "verify paths 12 --format json":
         "cf4e9427aa20b1f625a1168789a47bada9446ae3ccf62973b1afb2fc0d9fbf3a",
+    # recorded while a negative y, z or p with q free was still substituted
+    # into the full F_n, before the scan left it free and scaled each run
+    "fpoly 11 --bind y=-2,p=-1 --format csv":
+        "34499926ab705e7ed4e18ccab53022245418c4b539f066ce5c3877ec8db3b5b3",
+    "fpoly 9 --bind z=-3 --format json":
+        "c42e35e119e985fb206d73059c0315d2997b1006ea6344c0091625923b9c9057",
 }
 
 

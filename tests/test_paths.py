@@ -82,6 +82,15 @@ def test_weakly_increasing_matches_filtered_enumeration(n):
         e for e in inversion_sequences(n) if e == tuple(sorted(e))]
 
 
+@pytest.mark.parametrize("walk", [weakly_increasing_sequences,
+                                  lattice_paths])
+@pytest.mark.parametrize("n", [0, -1])
+def test_walks_refuse_length_at_the_call(walk, n):
+    # the refusal comes from the call itself, with nothing iterated
+    with pytest.raises(ValueError, match="length"):
+        walk(n)
+
+
 def _is_path(word):
     try:
         return validate_path(word) == word

@@ -122,8 +122,12 @@ def full_poly(n):
 @example(8, {"z": 2})
 @example(8, {"p": 2})
 @example(8, {"q": 2})
-# a negative value with q free takes the substitution into F_n
+# a negative y, z or p with q free is left free in the scan and scaled
+# per run; the last one also takes the wide slots
 @example(6, {"y": -1, "p": 2})
+@example(8, {"p": -1})
+@example(8, {"z": -2})
+@example(7, {"y": -1000, "p": 100})
 def test_bound_scan_matches_eval_partial(n, bind):
     assert joint_poly(n, bind) == full_poly(n).eval_partial(bind)
 
