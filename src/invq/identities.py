@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import compress, count, repeat
+from itertools import compress, count, repeat, tee
 from itertools import permutations as _permutations
-from operator import gt, sub
+from operator import getitem, gt, sub
 from typing import Iterator
 
 from .polyring import MultiPoly, QLaurent
@@ -32,6 +32,7 @@ def permutations(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def descent_count(sigma: tuple[int, ...]) -> int:
+    """Positions i with sigma_i > sigma_(i+1)."""
     return sum(map(gt, sigma, sigma[1:]))
 
 
@@ -42,9 +43,22 @@ def major_index(sigma: tuple[int, ...]) -> int:
 
 @cache
 def euler_mahonian_poly(n: int) -> MultiPoly:
-    """sum over S_n of x^descents q^major, by one cached walk of S_n per n."""
-    return MultiPoly(Counter((descent_count(sigma), 0, 0, 0, major_index(sigma))
-                             for sigma in permutations(n)))
+    """sum over S_n of x^descents q^major, by one cached walk of S_n per n.
+
+    Each permutation s gives one list of descent positions,
+    compress(range(1, n), map(gt, s, s[1:])), whose length is des(s) and
+    whose sum is maj(s); the walk is mapped in C, with no frame per s.
+
+    >>> euler_mahonian_poly(3).marginal("x", 3)
+    [1, 4, 1]
+    """
+    walk, tails = tee(permutations(n))
+    descents = map(list, map(compress, repeat(range(1, n)),
+                             map(map, repeat(gt), walk,
+                                 map(getitem, tails, repeat(slice(1, None))))))
+    des, maj = tee(descents)
+    return MultiPoly(Counter(zip(map(len, des), repeat(0), repeat(0), repeat(0),
+                                 map(sum, maj))))
 
 
 def eulerian_row(n: int) -> list[int]:
@@ -53,7 +67,8 @@ def eulerian_row(n: int) -> list[int]:
 
 
 def max_displacement_counts(n: int) -> list[int]:
-    """Permutations of n by max(sigma_i - i), value k = 0..n-1."""
+    """Permutations of n by max(sigma_i - i), value k = 0..n-1; the walk
+    of S_n is mapped in C."""
     counts = Counter(map(max, map(map, repeat(sub), permutations(n),
                                   repeat(range(1, n + 1)))))
     return [counts[k] for k in range(n)]
@@ -102,8 +117,9 @@ def check_qpower(n: int, kmax: int) -> bool:
 
 
 def _geometric_inverse_pochhammer(n: int, trunc: int) -> MultiPoly:
-    # 1 / (x; q)_{n+1} = sum_m qbinom(n + m, m) x^m (q-binomial theorem),
-    # truncated to x-degree <= trunc
+    # 1 / (x; q)_{n+1} = sum_m qbinom(n + m, m) x^m (the q-binomial theorem,
+    # Andrews, The Theory of Partitions, Thm 3.3), truncated to x-degree
+    # <= trunc
     return MultiPoly._raw({(m, 0, 0, 0, e): c for m in range(trunc + 1)
                            for e, c in q_binomial(n + m, m).items()})
 

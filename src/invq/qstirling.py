@@ -88,10 +88,19 @@ def augmented_word(e: InvSeq) -> tuple[int, ...]:
 
 
 def augmented_inversions(e: InvSeq) -> int:
-    """Inversion count of the augmented word.
+    """Inversion count of the augmented word: the defining count.
 
-    >>> augmented_inversions((0, 1, 0, 0, 3, 4, 0, 0))
-    10
+    For e with m distinct nonzero entries, aug(e) = inv(e) + sum(e) -
+    m(m+1)/2: the excluded values are ascending and sit after e, and a
+    used value u passes the u - 1 - rank(u) excluded values below it
+    (rank 0 for the smallest used value), which sum to sum(e) - m(m+1)/2.
+    `stirling2_q_by_enumeration` counts by this lemma, with no word.
+
+    >>> e = (0, 1, 0, 0, 3, 4, 0, 0)
+    >>> augmented_word(e)
+    (0, 1, 0, 0, 3, 4, 0, 0, 2, 5, 6, 7)
+    >>> augmented_inversions(e), inversions(e) + sum(e) - 3 * 4 // 2
+    (10, 10)
     """
     return inversions(augmented_word(e))
 
@@ -130,34 +139,31 @@ def distinct_nonzero_sequences(n: int) -> Iterator[InvSeq]:
             return
 
 
-def zero_marked_sequences(n: int, k: int) -> Iterator[InvSeq]:
-    """Members of I_n with exactly k zeros and distinct nonzero entries."""
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
-    for e in distinct_nonzero_sequences(n):
-        if e.count(0) == k:
-            yield e
-
-
 @cache
 def _augmented_by_zero_count(n: int) -> list[QLaurent]:
     """Entry k: the augmented-inversion polynomial of the members with k
-    zeros, for every k from one walk; `augmented_word` validates each
-    member, and `inversion_counts` counts the words."""
-    walk, again = tee(distinct_nonzero_sequences(n))
-    pairs = Counter(zip(map(countOf, walk, repeat(0)),
-                        inversion_counts(map(augmented_word, again))))
-    counts: list[dict[int, int]] = [{} for _ in range(n + 1)]
-    for (k, inv), c in pairs.items():
-        counts[k][inv] = c
+    zeros, for every k from one walk, by the lemma of `augmented_inversions`
+    (no word is built): a `Counter` of (zeros, distinct values, inversions,
+    sum) over the validated members, four `tee` branches read in lockstep.
+    A member without exactly m + 1 distinct values, m = n - k, is refused."""
+    zeros, values, words, sums = tee(map(validate, distinct_nonzero_sequences(n)), 4)
+    tally = Counter(zip(map(countOf, zeros, repeat(0)), map(len, map(set, values)),
+                        inversion_counts(words), map(sum, sums)))
+    counts: list[Counter[int]] = [Counter() for _ in range(n + 1)]
+    for (k, distinct, inv, total), c in tally.items():
+        m = n - k
+        if distinct != m + 1:
+            raise ValueError("nonzero entries must be pairwise distinct")
+        counts[k][inv + total - m * (m + 1) // 2] += c
     return [QLaurent(c) for c in counts]
 
 
 def stirling2_q_by_enumeration(n: int, k: int) -> QLaurent:
-    """Augmented-inversion generating polynomial over zero_marked_sequences.
+    """Augmented-inversion generating polynomial over the members of
+    distinct_nonzero_sequences(n) with exactly k zeros.
 
-    Brute-force oracle for stirling2_q; bounded at n <= 9.  One walk of
-    distinct_nonzero_sequences(n) serves every k.
+    Brute-force oracle for stirling2_q; bounded at n <= 9.  One walk per n
+    serves every k.
     """
     if n > 9:
         raise ValueError("brute-force bound is n <= 9")

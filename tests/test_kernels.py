@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from invq.identities import (
     descent_count,
+    euler_mahonian_poly,
     major_index,
     max_displacement_counts,
     permutations,
@@ -130,6 +131,11 @@ def augmented_by_zero_count_loop(n):
     return [QLaurent(c) for c in counts]
 
 
+def euler_mahonian_poly_loop(n):
+    return MultiPoly(Counter((descent_count(sigma), 0, 0, 0, major_index(sigma))
+                             for sigma in permutations(n)))
+
+
 # --------------------------------------------------- exhaustive sweeps
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -180,6 +186,11 @@ def test_max_displacement_counts_match_loop(n):
 def test_augmented_by_zero_count_matches_loop(n):
     assert _augmented_by_zero_count.__wrapped__(n) == \
         augmented_by_zero_count_loop(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_euler_mahonian_poly_matches_loop(n):
+    assert euler_mahonian_poly.__wrapped__(n) == euler_mahonian_poly_loop(n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from invq.invseq import inversion_sequences
+from invq.invseq import inversion_sequences, inversions
 from invq.polyring import QLaurent
 from invq.qstirling import (
     augmented_inversions,
@@ -17,10 +17,18 @@ from invq.qstirling import (
     stirling2_q_by_enumeration,
     stirling2_q_milne,
     stirling2_q_star,
-    zero_marked_sequences,
 )
 
 Q = QLaurent.q_power(1)
+
+
+def zero_marked_sequences(n, k):
+    """Members of I_n with exactly k zeros and distinct nonzero entries."""
+    if not 1 <= k <= n:
+        raise ValueError("need 1 <= k <= n")
+    for e in distinct_nonzero_sequences(n):
+        if e.count(0) == k:
+            yield e
 
 
 # ------------------------------------------------------------- recurrences
@@ -89,6 +97,15 @@ def test_augmented_inversions_worked():
     assert augmented_inversions((0,)) == 0
     # 0,1,0 -> word 0,1,0,2: single inversion (1 before 0)
     assert augmented_inversions((0, 1, 0)) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_augmented_inversions_lemma(n):
+    # aug(e) = inv(e) + sum(e) - m(m+1)/2, m the count of nonzero entries,
+    # member by member
+    for e in distinct_nonzero_sequences(n):
+        m = n - e.count(0)
+        assert augmented_inversions(e) == inversions(e) + sum(e) - m * (m + 1) // 2, e
 
 
 def test_zero_marked_counts():
