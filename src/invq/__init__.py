@@ -15,7 +15,6 @@ from .invseq import (
     brute_fixed_freq,
     brute_joint_poly,
     fixed_freq_poly,
-    format_sequence,
     frequency_vectors,
     inversion_sequences,
     occurrence_counts,
@@ -39,7 +38,7 @@ __all__ = [
     "q_int", "q_factorial", "q_binomial", "q_pochhammer_x", "d_q", "t_q",
     # inversion sequences
     "SeqStats", "inversion_sequences", "sequence_stats", "occurrence_counts",
-    "format_sequence", "brute_joint_poly", "fixed_freq_poly",
+    "brute_joint_poly", "fixed_freq_poly",
     "brute_fixed_freq", "frequency_vectors",
     "MAX_ENUM_LENGTH", "MAX_BRUTE_LENGTH",
     # recurrence

@@ -28,7 +28,7 @@ from itertools import accumulate, chain, filterfalse, repeat
 from operator import add, itemgetter, sub
 from typing import Callable
 
-from . import identities, paths, recurrence
+from . import paths, recurrence
 from .invseq import fixed_freq_poly
 from .polyring import MultiPoly, format_terms, power_tables
 from .qoperator import (SymExpr, comtet_coeff_explicit, operator_expansion)
@@ -37,6 +37,42 @@ from .verify import SUITES, run_suite
 
 class UsageError(Exception):
     pass
+
+
+# Every limit of the command line, with the measured cost that sets it (a
+# fresh process, one pinned vCPU, Python 3.11, unless stated); each usage
+# message and help string reads its limit from here.
+LIMITS = {
+    # fpoly enumerates nothing, so N bounds the output and the memory:
+    # fpoly 13 --format json writes 42 MB in 0.5 s, peak RSS 31 MB (the
+    # scan's), and --bind y=-2 peaks at 46 MB.  At 14, json would write
+    # 78 MB in 1.6 s and --bind y=-2 peak at 65 MB (2 vCPUs)
+    "fpoly": 13,
+    # coefficient digits a --bind output could hold (_output_digits);
+    # unbound fpoly 13 is at 137 M.  fpoly 13 --bind y=-2^231,z=-2^231
+    # (137 M) writes 35 MB of json in 1.3 s, peak RSS 76 MB; y=-(200 nines)
+    # at 11 (763 M) wrote 83 MB in 2.5 s, 124 MB, and at 13 took 9.5 s, 449 MB
+    "fpoly_digits": 140_000_000,
+    # the largest bound of any verify row (paths.catalan_counts); verify
+    # all 12 --format json takes 0.97 s, peak RSS 17.5 MB
+    "verify": 12,
+    # the identities suite to n = 12 takes 0.40 s at --trunc 40, 1.35 s at
+    # 60 and 2.36 s at 80 (in-process)
+    "trunc": 40,
+    # one bound for every stat, each a closed form or a bound class scan:
+    # a056151 or a114503 1..40 --format json takes 0.5-0.65 s, peak RSS
+    # 16 MB, and 1.2-1.4 s to 50
+    "sequence": 40,
+    # lnk 10 1 --format json takes 0.75 s, peak RSS 66 MB; lnk 11 2 would
+    # take 3.1 s and peak at 229 MB
+    "lnk": 10,
+    # expand 9 --format json takes 0.63 s, peak RSS 66 MB; expand 10 would
+    # take 4.2 s and peak at 215 MB
+    "expand": 9,
+    # no cost sets it: freq of any 12 counts takes 0.06 s.  12 is
+    # invseq.MAX_ENUM_LENGTH, the largest I_n the package walks
+    "freq": 12,
+}
 
 
 # ------------------------------------------------------------- small utils
@@ -292,28 +328,39 @@ def _emit_runs(args, command: str, params: dict, runs) -> int:
     return 0
 
 
-# fpoly enumerates nothing, so its cap bounds the size of the output and
-# the memory.  fpoly 13 --format json writes 42 MB with a peak RSS of 31 MB,
-# the scan's, in 0.5 s.  The costliest bound route, y = 2 or -2 with q free,
-# holds its whole MultiPoly and sorted items: 46 MB in 0.45 s in any format.
-# At 14, json would write 78 MB and peak at 43 MB in 1.6 s, and --bind y=-2
-# would peak at 65 MB in 1.2 s (2 vCPUs, Python 3.11)
-MAX_FPOLY_LENGTH = 13
+def _top_exponents(n: int) -> dict[str, int]:
+    """Each variable's top exponent in F_n: x runs over 1..n, y and z over
+    0..n-1, p and q over 0..n(n-1)/2."""
+    r = n * (n - 1) // 2
+    return {"x": n, "y": n - 1, "z": n - 1, "p": r, "q": r}
+
+
+def _coefficient_bits(n: int, values: dict[str, int]) -> int:
+    """Bits enough for every coefficient of F_n bound to `values`: the
+    coefficients of F_n are nonnegative and sum to n!, and a variable bound
+    to v multiplies each by at most |v| to its top exponent."""
+    return math.factorial(n).bit_length() + sum(
+        _top_exponents(n)[name] * abs(v).bit_length()
+        for name, v in values.items())
+
+
+def _output_digits(n: int, values: dict[str, int]) -> int:
+    """An upper bound on the coefficient digits of F_n bound to `values`:
+    the terms it could keep, the product of the free variables' exponent
+    range sizes (n for x, the top exponent + 1 for the others), times the
+    decimal digits of 2^_coefficient_bits."""
+    terms = math.prod(top + (name != "x")
+                      for name, top in _top_exponents(n).items()
+                      if name not in values)
+    return terms * (_coefficient_bits(n, values) * 30103 // 100000 + 1)
 
 
 def _check_printable(n: int, option: str, values: dict[str, int]) -> None:
     """Refuse values that could give F_n, bound to them, a coefficient past
     Python's limit on the digits of an int printed in decimal
-    (`sys.get_int_max_str_digits()`; 0 or no limit at all means none).
-    The coefficients of F_n are nonnegative and sum to n!, and a variable
-    bound to v multiplies each by at most |v| to its top exponent: n for x,
-    n - 1 for y and z, n(n-1)/2 for p and q."""
+    (`sys.get_int_max_str_digits()`; 0 or no limit at all means none)."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    top = {"x": n, "y": n - 1, "z": n - 1, "p": n * (n - 1) // 2,
-           "q": n * (n - 1) // 2}
-    bits = math.factorial(n).bit_length() + sum(
-        top[name] * abs(v).bit_length() for name, v in values.items())
-    if limit and 1 << bits > 10 ** limit:
+    if limit and 1 << _coefficient_bits(n, values) > 10 ** limit:
         raise UsageError(f"{option} values too large: a coefficient of F_{n} "
                          f"could pass {limit} digits, the limit for printing "
                          f"an int")
@@ -321,10 +368,14 @@ def _check_printable(n: int, option: str, values: dict[str, int]) -> None:
 
 def cmd_fpoly(args) -> int:
     n = args.n
-    if not 1 <= n <= MAX_FPOLY_LENGTH:
-        raise UsageError(f"length must be in 1..{MAX_FPOLY_LENGTH}")
+    if not 1 <= n <= LIMITS["fpoly"]:
+        raise UsageError(f"length must be in 1..{LIMITS['fpoly']}")
     bindings = _parse_bindings(",".join(args.bind)) if args.bind else {}
     _check_printable(n, "--bind", bindings)
+    if _output_digits(n, bindings) > LIMITS["fpoly_digits"]:
+        raise UsageError(f"--bind values too large: the output of fpoly {n} "
+                         f"could pass {LIMITS['fpoly_digits']} coefficient "
+                         f"digits")
 
     if args.columns is not None:
         if bindings:
@@ -353,15 +404,13 @@ def cmd_fpoly(args) -> int:
 # ----------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    if not 1 <= args.nmax <= 12:
-        raise UsageError("bound must be in 1..12")
+    if not 1 <= args.nmax <= LIMITS["verify"]:
+        raise UsageError(f"bound must be in 1..{LIMITS['verify']}")
     if args.trunc is not None:
         if args.suite not in ("identities", "all"):
             raise UsageError("--trunc applies only to verify identities and verify all")
-        # the series checks grow steeply with the truncation: the identities
-        # suite at n = 6 takes about 1.9 s at 40, 5.6 s at 60 and 11 s at 80
-        if not 1 <= args.trunc <= 40:
-            raise UsageError("--trunc must be in 1..40")
+        if not 1 <= args.trunc <= LIMITS["trunc"]:
+            raise UsageError(f"--trunc must be in 1..{LIMITS['trunc']}")
     results = run_suite(args.suite, args.nmax, args.trunc)
     checks = [{"name": r.name, "pass": r.passed, "detail": r.detail}
               for r in results]
@@ -381,23 +430,27 @@ def cmd_verify(args) -> int:
 
 # --------------------------------------------------------------- sequence
 
-# stat -> (largest length, value at one length), in oeis.STAT_NAMES order
-SEQUENCES: dict[str, tuple[int, Callable[[int], int | list[int]]]] = {
-    "catalan": (14, paths.catalan),
-    "narayana": (14, paths.narayana_row),
-    "returns": (14, paths.returns_triangle_row),
-    "a114503": (10, paths.peak_sum_row),
-    "a056151": (9, identities.max_displacement_counts),
-    "involutions": (14, paths.involution_number),
-    "eulerian": (9, identities.eulerian_row),
+# stat -> value at one length, in oeis.STAT_NAMES order: a closed form, an
+# int recurrence or a marginal of a bound class scan.  None walks S_n or the
+# Dyck paths; those walks are the oracles of the verify rows
+# recurrence.eulerian_marginal, recurrence.uel_vs_displacement and
+# paths.peak_height_poly
+SEQUENCES: dict[str, Callable[[int], int | list[int]]] = {
+    "catalan": paths.catalan,
+    "narayana": paths.narayana_row,
+    "returns": paths.returns_triangle_row,
+    "a114503": paths.peak_sum_row,
+    "a056151": lambda n: recurrence.uel_distribution(n)[::-1],
+    "involutions": paths.involution_number,
+    "eulerian": recurrence.tel_distribution,
 }
 
 
 def cmd_sequence(args) -> int:
-    bound, value = SEQUENCES[args.stat]
+    bound = LIMITS["sequence"]
     if not 1 <= args.nmax <= bound:
         raise UsageError(f"bound for {args.stat} must be in 1..{bound}")
-    values = [value(n) for n in range(1, args.nmax + 1)]
+    values = list(map(SEQUENCES[args.stat], range(1, args.nmax + 1)))
     if isinstance(values[0], list):
         plain = [" ".join(str(v) for v in row) for row in values]
         csv_rows = values
@@ -424,15 +477,15 @@ def _emit_expr(args, command: str, params: dict, expr: SymExpr) -> int:
 
 
 def cmd_lnk(args) -> int:
-    if not 1 <= args.k <= args.n <= 10:
-        raise UsageError("need 1 <= K <= N <= 10")
+    if not 1 <= args.k <= args.n <= LIMITS["lnk"]:
+        raise UsageError(f"need 1 <= K <= N <= {LIMITS['lnk']}")
     return _emit_expr(args, "lnk", {"n": args.n, "k": args.k},
                       comtet_coeff_explicit(args.n, args.k))
 
 
 def cmd_expand(args) -> int:
-    if not 1 <= args.n <= 9:
-        raise UsageError("need 1 <= N <= 9")
+    if not 1 <= args.n <= LIMITS["expand"]:
+        raise UsageError(f"need 1 <= N <= {LIMITS['expand']}")
     return _emit_expr(args, "expand", {"n": args.n},
                       operator_expansion(args.n))
 
@@ -441,8 +494,9 @@ def cmd_expand(args) -> int:
 
 def cmd_freq(args) -> int:
     counts = _parse_counts(args.counts)
-    if len(counts) > 12:
-        raise UsageError("vectors longer than 12 are out of bounds")
+    if len(counts) > LIMITS["freq"]:
+        raise UsageError(f"vectors longer than {LIMITS['freq']} are out of "
+                         f"bounds")
     try:
         poly = fixed_freq_poly(counts)
     except ValueError as exc:
@@ -464,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="plain")
 
     p = sub.add_parser("fpoly", help="joint statistic polynomial of length "
-                                     f"N, 1..{MAX_FPOLY_LENGTH}")
+                                     f"N, 1..{LIMITS['fpoly']}")
     p.add_argument("n", type=integer)
     p.add_argument("--bind", metavar="VAR=INT,...", action="append",
                    help="bind variables, e.g. x=1,y=1 or all=1; repeats merge")
@@ -479,7 +533,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nmax", nargs="?", type=integer, default=8)
     p.add_argument("--trunc", type=integer,
                    help="series truncation for the identities suite, "
-                        "1..40; each check uses at least n + 2")
+                        f"1..{LIMITS['trunc']}; each check uses at least "
+                        "n + 2")
     add_format(p)
     p.set_defaults(func=cmd_verify)
 

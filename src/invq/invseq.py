@@ -34,6 +34,9 @@ MAX_ENUM_LENGTH = 12
 #: guard for whole-I_n polynomial accumulation
 MAX_BRUTE_LENGTH = 10
 
+#: guard for `brute_class_polys`, the I_n walk regrouped by frequency class
+MAX_CLASS_LENGTH = 9
+
 
 class SeqStats(NamedTuple):
     inv: int
@@ -136,14 +139,6 @@ def occurrence_counts(e: Iterable[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def format_sequence(e: Iterable[int]) -> str:
-    """Digit-joined for length <= 10 (e.g. '0010'), comma-joined beyond."""
-    e = tuple(e)
-    if len(e) <= 10:
-        return "".join(str(v) for v in e)
-    return ",".join(str(v) for v in e)
-
-
 def _class_tally(n: int) -> dict[bytes, dict[int, int]]:
     """I_n grouped by sorted form: {sorted e: {inv: count}}, from one
     pass (not cached) over two walks of I_n in step: the sequences, and
@@ -230,8 +225,8 @@ def brute_class_polys(n: int) -> dict[tuple[int, ...], QLaurent]:
     off `_class_tally` (oracle path): only its Catalan-many sorted keys are
     read with `occurrence_counts`.  Vectors realized by no sequence are
     absent."""
-    if n > 9:
-        raise ValueError("brute-force bound is length 9")
+    if n > MAX_CLASS_LENGTH:
+        raise ValueError(f"brute-force bound is length {MAX_CLASS_LENGTH}")
     return {occurrence_counts(w): QLaurent(c) for w, c in _class_tally(n).items()}
 
 

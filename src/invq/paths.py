@@ -19,11 +19,12 @@ import math
 from collections import Counter
 from functools import cache
 from itertools import accumulate, repeat
-from operator import attrgetter, countOf, mul, sub
+from operator import countOf, mul, sub
 from typing import Callable, Hashable, Iterator, NamedTuple
 
 from .invseq import InvSeq, validate
 from .polyring import MultiPoly
+from .recurrence import joint_poly
 
 LatticePath = str
 
@@ -273,25 +274,20 @@ def dyck_distribution(n: int, key: Callable[[DyckStats], Hashable]) -> Counter:
     return Counter(map(key, _dyck_tally(n).elements()))
 
 
-def returns_distribution(n: int) -> Counter:
-    """Return counts over all paths of semilength n, by enumeration."""
-    return dyck_distribution(n, attrgetter("returns"))
-
-
-def first_peak_distribution(n: int) -> Counter:
-    return dyck_distribution(n, attrgetter("first_peak_height"))
-
-
-def valley_distribution(n: int) -> Counter:
-    return dyck_distribution(n, attrgetter("valleys"))
-
-
 def peak_sum_row(n: int) -> list[int]:
     """Paths of semilength n by first plus last peak height (a single peak
-    counts twice), as counts for sums 2, 3, ..., 2n."""
-    dist = dyck_distribution(
-        n, lambda s: s.first_peak_height + s.last_peak_height)
-    return [dist.get(s, 0) for s in range(2, 2 * n + 1)]
+    counts twice), as counts for sums 2, 3, ..., 2n.
+
+    Read off the q = 0 slice of F_n at y = p = 1, whose terms are the
+    weakly increasing sequences (`peak_height_poly` ties them to the
+    paths): the first peak height is noz = a and the last uel + 1 = c + 1,
+    so a term x^a z^c counts at sum a + c + 1, index a + c - 1.
+    """
+    terms = joint_poly(n, {"y": 1, "p": 1, "q": 0}).items()
+    row = [0] * (2 * n - 1)
+    for (a, _, c, _, _), count in terms:
+        row[a + c - 1] += count
+    return row
 
 
 def peak_height_poly(n: int) -> MultiPoly:

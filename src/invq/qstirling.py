@@ -21,6 +21,9 @@ from .invseq import (MAX_ENUM_LENGTH, InvSeq, inversion_counts, inversions,
 from .polyring import QLaurent
 from .qcalc import q_int
 
+#: guard for `stirling2_q_by_enumeration`, the augmented-inversion walk
+MAX_MODEL_LENGTH = 9
+
 
 @cache
 def stirling2_q(n: int, k: int) -> QLaurent:
@@ -162,11 +165,11 @@ def stirling2_q_by_enumeration(n: int, k: int) -> QLaurent:
     """Augmented-inversion generating polynomial over the members of
     distinct_nonzero_sequences(n) with exactly k zeros.
 
-    Brute-force oracle for stirling2_q; bounded at n <= 9.  One walk per n
-    serves every k.
+    Brute-force oracle for stirling2_q; bounded at n <= MAX_MODEL_LENGTH.
+    One walk per n serves every k.
     """
-    if n > 9:
-        raise ValueError("brute-force bound is n <= 9")
+    if n > MAX_MODEL_LENGTH:
+        raise ValueError(f"brute-force bound is n <= {MAX_MODEL_LENGTH}")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     return _augmented_by_zero_count(n)[k]

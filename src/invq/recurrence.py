@@ -203,6 +203,14 @@ def p_factorial(n: int) -> MultiPoly:
                            for e, c in q_factorial(n).items()})
 
 
+def tel_distribution(n: int) -> list[int]:
+    """Counts of sequences in I_n by their tel value, from the y-marginal:
+    the Eulerian numbers, k = 0..n-1 (`identities.eulerian_row`, the
+    descents of S_n, is its oracle).
+    """
+    return joint_poly(n, {"x": 1, "z": 1, "p": 1, "q": 1}).marginal("y", n)
+
+
 def uel_distribution(n: int) -> list[int]:
     """Counts of sequences in I_n by their uel value, from the z-marginal.
 

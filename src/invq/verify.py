@@ -88,8 +88,7 @@ def run_recurrence(nmax: int, trunc: int | None = None) -> list[CheckResult]:
 
     s.check("recurrence.eulerian_marginal", 8,
             "y marginal equals the descent distribution, n <= {}",
-            lambda n: recurrence.joint_poly(
-                n, {"x": 1, "z": 1, "p": 1, "q": 1}).marginal("y", n)
+            lambda n: recurrence.tel_distribution(n)
             == identities.eulerian_row(n))
 
     s.check("recurrence.uel_vs_displacement", 8,
@@ -130,14 +129,15 @@ def run_paths(nmax: int, trunc: int | None = None) -> list[CheckResult]:
 
     def triangles(n):
         row = paths.returns_triangle_row(n)
-        brute = paths.returns_distribution(n)
+        brute = paths.dyck_distribution(n, attrgetter("returns"))
         zeros = Counter(map(countOf, paths.weakly_increasing_sequences(n),
                             repeat(0)))
-        valleys = paths.valley_distribution(n)
+        valleys = paths.dyck_distribution(n, attrgetter("valleys"))
         return (row == [brute.get(k, 0) for k in range(1, n + 1)]
                 and row == [zeros.get(k, 0) for k in range(1, n + 1)]
                 and paths.narayana_row(n) == [valleys.get(k, 0) for k in range(n)]
-                and paths.first_peak_distribution(n) == brute)
+                and paths.dyck_distribution(
+                    n, attrgetter("first_peak_height")) == brute)
     s.check("paths.triangles", 10,
             "returns / zeros / Narayana / first-peak triangles, n <= {}",
             triangles)

@@ -9,6 +9,7 @@ import math
 import time
 from collections import Counter
 from contextlib import contextmanager
+from operator import attrgetter
 
 from invq.identities import (
     check_carlitz,
@@ -29,17 +30,15 @@ from invq.invseq import (
 from invq.oeis import expected_values
 from invq.paths import (
     catalan,
+    dyck_distribution,
     dyck_stats,
-    first_peak_distribution,
     involution_number,
     lattice_paths,
     narayana_row,
     peak_height_poly,
     peak_sum_row,
-    returns_distribution,
     returns_triangle_row,
     sign_reversing_involution,
-    valley_distribution,
     weakly_increasing_sequences,
 )
 from invq.polyring import MultiPoly, QLaurent
@@ -122,12 +121,13 @@ def test_criterion_04_q0_path_suite():
         for n in range(1, 13):
             assert sum(1 for _ in weakly_increasing_sequences(n)) == catalan(n)
         for n in range(1, 11):
-            assert [valley_distribution(n).get(k, 0) for k in range(n)] \
-                == narayana_row(n)
-            returns = returns_distribution(n)
+            valleys = dyck_distribution(n, attrgetter("valleys"))
+            assert [valleys.get(k, 0) for k in range(n)] == narayana_row(n)
+            returns = dyck_distribution(n, attrgetter("returns"))
             assert [returns.get(k, 0) for k in range(1, n + 1)] \
                 == returns_triangle_row(n)
-            assert returns == first_peak_distribution(n)
+            assert returns == dyck_distribution(
+                n, attrgetter("first_peak_height"))
 
             # f_n(x, z): symmetric in x and z
             poly = peak_height_poly(n)
@@ -135,9 +135,9 @@ def test_criterion_04_q0_path_suite():
                                   (ex, ey, ez, ep, eq), c in poly.items()})
             assert poly == mirrored
 
-            # first+last-peak-height rows, cross-checked between the two
-            # enumerations (lattice paths here, weakly increasing
-            # sequences inside peak_height_poly)
+            # first+last-peak-height rows, cross-checked between the
+            # class scan (peak_sum_row) and the weakly increasing walk
+            # inside peak_height_poly
             by_sum: Counter = Counter()
             for key, coeff in poly.items():
                 by_sum[key[0] + key[2]] += coeff

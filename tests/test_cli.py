@@ -18,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import invq
-from invq import cli, oeis, recurrence
-from invq.cli import SEQUENCES, main
+from invq import cli, identities, invseq, oeis, paths, recurrence
+from invq.cli import LIMITS, SEQUENCES, main
 from invq.polyring import VARIABLES, MultiPoly, QLaurent
 
 
@@ -422,6 +422,53 @@ def test_fpoly_refuses_unprintable_values(capsys, default_int_digits):
     assert out.splitlines()[-1] == "1" + "0" * 3000 + ",1,0,0,0,0"
 
 
+def _must_not_run(*_):
+    raise AssertionError("a route that must not run was called")
+
+
+def test_fpoly_refuses_oversized_output(capsys, monkeypatch):
+    """A binding whose output could pass LIMITS["fpoly_digits"] coefficient
+    digits is refused before the scan; a 200-digit y at 11 wrote 83 MB."""
+    monkeypatch.setattr(recurrence, "_class_scan", _must_not_run)
+    y = "y=-" + "9" * 200
+    for n in ("11", "13"):
+        for fmt in ("plain", "csv", "json"):
+            assert run(capsys, "fpoly", n, "--bind", y, "--format", fmt) == (
+                2, "", f"error: --bind values too large: the output of "
+                       f"fpoly {n} could pass 140000000 coefficient digits\n")
+    # unbound fpoly at its cap, the two bindings the CI bounds, and
+    # test_fpoly_refuses_unprintable_values' 3001-digit coefficient fit
+    for n, values in ((LIMITS["fpoly"], {}), (13, {"y": -2}),
+                      (3, {"p": 10 ** 1000})):
+        assert cli._output_digits(n, values) <= LIMITS["fpoly_digits"]
+
+
+@pytest.mark.parametrize("bind", [{}, {"y": -2}, {"x": 3, "q": -1},
+                                  {"p": 10 ** 20}, {"z": 7, "p": -5},
+                                  {"x": 2, "y": 2, "z": 2, "p": 2, "q": 2}])
+def test_output_digits_bound_the_output(bind):
+    for n in range(1, 7):
+        digits = sum(len(str(abs(c)))
+                     for _, c in recurrence.joint_poly(n, bind).items())
+        assert digits <= cli._output_digits(n, bind), n
+
+
+def test_usage_messages_read_the_limits(capsys, monkeypatch):
+    for key, argv, message in (
+            ("fpoly", ["fpoly", "4"], "length must be in 1..3"),
+            ("verify", ["verify", "paths", "4"], "bound must be in 1..3"),
+            ("trunc", ["verify", "identities", "2", "--trunc", "4"],
+             "--trunc must be in 1..3"),
+            ("sequence", ["sequence", "catalan", "4"],
+             "bound for catalan must be in 1..3"),
+            ("lnk", ["lnk", "4", "1"], "need 1 <= K <= N <= 3"),
+            ("expand", ["expand", "4"], "need 1 <= N <= 3"),
+            ("freq", ["freq", "2,1,1,0"],
+             "vectors longer than 3 are out of bounds")):
+        monkeypatch.setitem(LIMITS, key, 3)
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), key
+
+
 def test_integers_past_the_digit_limit(capsys, default_int_digits):
     """int() refuses more than 4300 digits; the command line says so, in a
     short message, instead of calling the value malformed."""
@@ -589,17 +636,58 @@ def test_sequence_json(capsys):
 
 
 def test_sequence_bounds(capsys):
-    assert run(capsys, "sequence", "eulerian", "10")[0] == 2
-    assert run(capsys, "sequence", "catalan", "15")[0] == 2
-    assert run(capsys, "sequence", "catalan", "14")[0] == 0
-    capsys.readouterr()
+    # one bound for every stat
+    for stat in SEQUENCES:
+        assert run(capsys, "sequence", stat, "40")[0] == 0, stat
+        for bad in ("0", "41"):
+            assert run(capsys, "sequence", stat, bad) == (
+                2, "", f"error: bound for {stat} must be in 1..40\n"), stat
+
+
+def test_sequence_stats_walk_nothing(capsys, monkeypatch):
+    """Every stat reads a closed form or a class scan: with each walk
+    raising, and the caches of the walks' readers empty, all seven still
+    print their golden json at their old bounds, where eulerian and
+    a056151 walked S_n and a114503 the Dyck paths."""
+    identities.euler_mahonian_poly.cache_clear()
+    paths._dyck_tally.cache_clear()
+    for module, walk in ((identities, "permutations"),
+                         (paths, "lattice_paths"),
+                         (paths, "weakly_increasing_sequences"),
+                         (invseq, "inversion_sequences")):
+        monkeypatch.setattr(module, walk, _must_not_run)
+    commands = [c for c in GOLDEN_SHA256
+                if c.startswith("sequence ") and c.endswith(" json")]
+    assert sorted(c.split()[1] for c in commands) == sorted(SEQUENCES)
+    for command in commands:
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0, command
+        assert (hashlib.sha256(out.encode()).hexdigest()
+                == GOLDEN_SHA256[command]), command
+
+
+# each scan reader of SEQUENCES and the walk it replaced, its oracle
+WALKS = {
+    "eulerian": identities.eulerian_row,
+    "a056151": identities.max_displacement_counts,
+    "a114503": lambda n: [paths.dyck_distribution(
+        n, lambda s: s.first_peak_height + s.last_peak_height).get(s, 0)
+        for s in range(2, 2 * n + 1)],
+}
+
+
+@pytest.mark.parametrize("stat", WALKS)
+def test_scan_readers_match_their_walks(stat):
+    top = 10 if stat == "a114503" else 9
+    for n in range(1, top + 1):
+        assert SEQUENCES[stat](n) == WALKS[stat](n), (stat, n)
 
 
 def test_sequence_table_matches_vendored_prefixes(capsys):
     assert tuple(SEQUENCES) == oeis.STAT_NAMES
-    for stat, (bound, _) in SEQUENCES.items():
+    for stat in SEQUENCES:
         prefix = oeis.expected_values(stat)
-        m = min(bound, len(prefix))
+        m = min(LIMITS["sequence"], len(prefix))
         code, out, _ = run(capsys, "sequence", stat, str(m), "--format", "json")
         assert code == 0
         assert json.loads(out)["result"]["values"] == prefix[:m], stat
@@ -738,6 +826,33 @@ GOLDEN_SHA256 = {
         "9e517109164715bb6cbd39ddd2fdd70e05becc43df63b197eea7ccca1b23f64c",
     "verify paths 12 --format json":
         "cf4e9427aa20b1f625a1168789a47bada9446ae3ccf62973b1afb2fc0d9fbf3a",
+    # recorded while eulerian and a056151 walked S_n and a114503 the Dyck
+    # paths, before every stat read a closed form or a class scan: each
+    # stat at its old bound (eulerian and a056151 json are above)
+    "sequence catalan 14 --format json":
+        "1ec47eb7048724bb8b8b2e409ed2e279852ff3459eb1894edea80a7756f31fa4",
+    "sequence catalan 14 --format csv":
+        "eea129debc9bd48ed33cb31fbdabfe4ae2b6928f0f258e810a48e248f504ef22",
+    "sequence narayana 14 --format json":
+        "bd14995f5602dc420dc4bc5ddcaa3f93c28b4d66e5d6675d1f1f8268e431c585",
+    "sequence narayana 14 --format csv":
+        "37b1430df879eca4b3cc3bdb209e72b5156aba31b94ced4fa69d3f77cc9372b4",
+    "sequence returns 14 --format json":
+        "2ac113a3944ad2973dffdcc273a1836f1b479655d2be0d6132f41a352311461b",
+    "sequence returns 14 --format csv":
+        "7f58902e3a053da9a39dad640801d7eb9e4c6a181c5c8f72776736f773f06711",
+    "sequence a114503 10 --format json":
+        "5052a8ce6070e05f4789ab768d2c4a8c5cf38e2300311abd375b842b846340c6",
+    "sequence a114503 10 --format csv":
+        "90594d2616b271a41f9c71f9464d976f0ba8993e90c2fc211b283eca4e6081da",
+    "sequence a056151 9 --format csv":
+        "7648e6b4466b929857ce1eea336071dc532d23735888b95654ff059ddfa558f4",
+    "sequence involutions 14 --format json":
+        "4ecc243171d8afb19dddcea2a074b4ba7c6a17a13cac2d0bfeff1d3fc2e1b392",
+    "sequence involutions 14 --format csv":
+        "53fb1ab2ad743907dea765592a9d2cd4df6bc99ac5c30eb0c6c0ef252679b75a",
+    "sequence eulerian 9 --format csv":
+        "f0bc02f64249e63f98dfc3a0e25456b94351c70102db96753dc253c00c58d668",
     # recorded while a negative y, z or p with q free was still substituted
     # into the full F_n, before the scan left it free and scaled each run
     "fpoly 11 --bind y=-2,p=-1 --format csv":

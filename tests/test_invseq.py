@@ -14,7 +14,6 @@ from invq.invseq import (
     brute_fixed_freq,
     brute_joint_poly,
     fixed_freq_poly,
-    format_sequence,
     frequency_vectors,
     inversion_sequences,
     inversions,
@@ -120,11 +119,6 @@ def test_inversions_matches_pair_count(w):
     # repeated values tell a strict count from one that counts ties
     pairs = [(a, b) for i, a in enumerate(w) for b in w[i + 1:]]
     assert inversions(w) == sum(1 for a, b in pairs if a > b)
-
-
-def test_format_sequence():
-    assert format_sequence((0, 1, 0, 3)) == "0103"
-    assert format_sequence(tuple(range(11))) == "0,1,2,3,4,5,6,7,8,9,10"
 
 
 # --------------------------------------------------- joint polynomial brute

@@ -16,7 +16,6 @@ from invq.paths import (
     catalan,
     dyck_distribution,
     dyck_stats,
-    first_peak_distribution,
     involution_number,
     lattice_paths,
     narayana,
@@ -24,12 +23,10 @@ from invq.paths import (
     path_from_sequence,
     peak_height_poly,
     peak_sum_row,
-    returns_distribution,
     returns_triangle_row,
     reverse_swap,
     sequence_from_path,
     sign_reversing_involution,
-    valley_distribution,
     validate_path,
     weakly_increasing_sequences,
 )
@@ -261,16 +258,17 @@ def test_returns_row_against_catalan():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_triangle_rows_match_enumeration(n):
-    returns = returns_distribution(n)
+    returns = dyck_distribution(n, attrgetter("returns"))
     assert [returns.get(k, 0) for k in range(1, n + 1)] \
         == returns_triangle_row(n)
-    valleys = valley_distribution(n)
+    valleys = dyck_distribution(n, attrgetter("valleys"))
     assert [valleys.get(k, 0) for k in range(n)] == narayana_row(n)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_returns_and_first_peak_equidistributed(n):
-    assert returns_distribution(n) == first_peak_distribution(n)
+    assert (dyck_distribution(n, attrgetter("returns"))
+            == dyck_distribution(n, attrgetter("first_peak_height")))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -282,11 +280,12 @@ def test_dyck_distribution_matches_per_path_counts(n):
 
 
 def test_distributions_are_fresh_copies():
-    first = returns_distribution(5)
+    returns = attrgetter("returns")
+    first = dyck_distribution(5, returns)
     expected = Counter(first)
     first[1] += 100
     first[99] = 1
-    assert returns_distribution(5) == expected
+    assert dyck_distribution(5, returns) == expected
 
 
 def test_peak_sum_rows():
