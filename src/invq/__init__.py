@@ -12,7 +12,6 @@ from .invseq import (
     MAX_BRUTE_LENGTH,
     MAX_ENUM_LENGTH,
     SeqStats,
-    brute_fixed_freq,
     brute_joint_poly,
     fixed_freq_poly,
     frequency_vectors,
@@ -38,8 +37,7 @@ __all__ = [
     "q_int", "q_factorial", "q_binomial", "q_pochhammer_x", "d_q", "t_q",
     # inversion sequences
     "SeqStats", "inversion_sequences", "sequence_stats", "occurrence_counts",
-    "brute_joint_poly", "fixed_freq_poly",
-    "brute_fixed_freq", "frequency_vectors",
+    "brute_joint_poly", "fixed_freq_poly", "frequency_vectors",
     "MAX_ENUM_LENGTH", "MAX_BRUTE_LENGTH",
     # recurrence
     "joint_poly", "next_joint_poly", "inv_poly", "product_formula",

@@ -26,12 +26,13 @@ import re
 import sys
 from itertools import accumulate, chain, filterfalse, repeat
 from operator import add, itemgetter, sub
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import paths, recurrence
 from .invseq import fixed_freq_poly
 from .polyring import MultiPoly, format_terms, power_tables
-from .qoperator import (SymExpr, comtet_coeff_explicit, operator_expansion)
+from .qoperator import (SymExpr, comtet_coeff_explicit, format_words,
+                        operator_expansion)
 from .verify import SUITES, run_suite
 
 
@@ -145,7 +146,7 @@ def _parse_counts(text: str) -> tuple[int, ...]:
 
 
 def _emit(args, command: str, params: dict, result: dict,
-          plain_lines: list[str], csv_rows: list[list], checks=()) -> int:
+          plain_lines: list[str], csv_rows: Iterable[list], checks=()) -> int:
     if args.format == "json":
         print(json.dumps({"command": command, "params": params,
                           "result": result, "checks": list(checks)}, indent=2))
@@ -464,16 +465,17 @@ def cmd_sequence(args) -> int:
 # -------------------------------------------------------------- lnk/expand
 
 def _emit_expr(args, command: str, params: dict, expr: SymExpr) -> int:
-    text = str(expr)
+    """`expr` from one sort of its words, building only the format asked for."""
     items = expr.sorted_items()
+    if args.format == "csv":
+        return _emit(args, command, params, {}, [], chain([["coeff", "word"]], (
+            [str(c), " ".join(f"{f.kind}:{f.deriv}:{f.shift}" for f in w)]
+            for w, c in items)))
+    text = format_words(items)
     words = [{"coeff": [[e, c] for e, c in sorted(coeff.items())],
               "factors": [[f.kind, f.deriv, f.shift] for f in word]}
-             for word, coeff in items]
-    csv_rows = [["coeff", "word"]] + [
-        [str(c), " ".join(f"{f.kind}:{f.deriv}:{f.shift}" for f in w)]
-        for w, c in items]
-    return _emit(args, command, params, {"text": text, "words": words},
-                 [text], csv_rows)
+             for word, coeff in items] if args.format == "json" else []
+    return _emit(args, command, params, {"text": text, "words": words}, [text], [])
 
 
 def cmd_lnk(args) -> int:

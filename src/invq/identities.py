@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import compress, count, repeat, tee
+from itertools import compress, repeat, tee
 from itertools import permutations as _permutations
 from operator import getitem, gt, sub
 from typing import Iterator
@@ -29,16 +29,6 @@ def permutations(n: int) -> Iterator[tuple[int, ...]]:
     if n > MAX_PERM_LENGTH:
         raise ValueError(f"enumeration bound is n <= {MAX_PERM_LENGTH}")
     return _permutations(range(1, n + 1))
-
-
-def descent_count(sigma: tuple[int, ...]) -> int:
-    """Positions i with sigma_i > sigma_(i+1)."""
-    return sum(map(gt, sigma, sigma[1:]))
-
-
-def major_index(sigma: tuple[int, ...]) -> int:
-    """Sum of descent positions, positions counted from 1."""
-    return sum(compress(count(1), map(gt, sigma, sigma[1:])))
 
 
 @cache

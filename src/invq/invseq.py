@@ -80,16 +80,6 @@ def inversions(w: Sequence[int]) -> int:
     return sum(starmap(gt, combinations(w, 2)))
 
 
-def inversion_counts(words: Iterable[Sequence[int]]) -> Iterator[int]:
-    """`inversions` of each word in turn, with the walk mapped in C too:
-    no Python frame per word.
-
-    >>> list(inversion_counts([(2, 0, 2, 1, 0), (), (0, 1)]))
-    [6, 0, 0]
-    """
-    return map(sum, map(starmap, repeat(gt), map(combinations, words, repeat(2))))
-
-
 def walk_inversions(n: int) -> Iterator[int]:
     """The inversions of every member of I_n, in `inversion_sequences(n)`
     order, for n up to MAX_ENUM_LENGTH; the bounds are checked at the call.
@@ -230,12 +220,6 @@ def brute_class_polys(n: int) -> dict[tuple[int, ...], QLaurent]:
     return {occurrence_counts(w): QLaurent(c) for w, c in _class_tally(n).items()}
 
 
-def brute_fixed_freq(counts: Iterable[int]) -> QLaurent:
-    """Same polynomial as fixed_freq_poly, read off brute_class_polys."""
-    v = _validate_counts(counts)
-    return brute_class_polys(len(v)).get(v, QLaurent.zero())
-
-
 def frequency_vectors(n: int) -> Iterator[tuple[int, ...]]:
     """All vectors v with sum(v) = n and v_j <= n - j (value bounds only)."""
     if n < 1:
@@ -251,4 +235,4 @@ def frequency_vectors(n: int) -> Iterator[tuple[int, ...]]:
             yield from rec(j + 1, remaining - c, prefix)
             prefix.pop()
 
-    yield from rec(0, n, [])
+    return rec(0, n, [])

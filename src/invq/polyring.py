@@ -180,9 +180,6 @@ class TermMap:
     def term_count(self) -> int:
         return len(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     # ----------------------------------------------------------- arithmetic
 
     @classmethod

@@ -91,16 +91,17 @@ class SymExpr(TermMap):
         return SymExpr._summed({w: c * coeff for w, c in self._terms.items()})
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for word, coeff in self.sorted_items():
-            body = " ".join(_format_factor(f) for f in word)
-            if coeff == QLaurent.one():
-                parts.append(body)
-            else:
-                parts.append(f"({coeff}) {body}")
-        return " + ".join(parts)
+        return format_words(self.sorted_items())
+
+
+def format_words(items: list[tuple[Word, QLaurent]]) -> str:
+    """The text of a combination of words from its `sorted_items()`."""
+    if not items:
+        return "0"
+    one = QLaurent.one()
+    terms = ((" ".join(map(_format_factor, word)), coeff) for word, coeff in items)
+    return " + ".join(body if coeff == one else f"({coeff}) {body}"
+                      for body, coeff in terms)
 
 
 # ------------------------------------------------------------ the operator
@@ -219,7 +220,7 @@ def comtet_coeff_recurrence(n: int, k: int) -> SymExpr:
             return SymExpr.zero()
         result = times_g(dq_expr(build(m - 1, j)))
         lower = build(m - 1, j - 1)
-        if not lower.is_zero():
+        if lower:
             result = result + times_g(lower).scale(
                 QLaurent.q_power(m - j))
         return result

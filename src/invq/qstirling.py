@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import filterfalse, repeat, tee
+from itertools import repeat, tee
 from operator import countOf
 from typing import Iterator
 
-from .invseq import (MAX_ENUM_LENGTH, InvSeq, inversion_counts, inversions,
-                     validate)
+from .invseq import MAX_ENUM_LENGTH, InvSeq, inversions, validate
 from .polyring import QLaurent
 from .qcalc import q_int
 
@@ -71,46 +70,9 @@ def stirling2(n: int, k: int) -> int:
 
 # ------------------------------------------------- inversion-sequence model
 
-def is_distinct_nonzero(e: InvSeq) -> bool:
-    """True when every nonzero entry of e occurs exactly once."""
-    nonzero = list(filter(None, e))
-    return len(nonzero) == len(set(nonzero))
-
-
-def excluded_values(e: InvSeq) -> tuple[int, ...]:
-    """Ascending list of the values in 1..n-1 not used by e."""
-    e = validate(e)
-    if not is_distinct_nonzero(e):
-        raise ValueError("nonzero entries must be pairwise distinct")
-    return tuple(filterfalse(set(e).__contains__, range(1, len(e))))
-
-
-def augmented_word(e: InvSeq) -> tuple[int, ...]:
-    """e with its excluded values appended in ascending order."""
-    return tuple(e) + excluded_values(e)
-
-
-def augmented_inversions(e: InvSeq) -> int:
-    """Inversion count of the augmented word: the defining count.
-
-    For e with m distinct nonzero entries, aug(e) = inv(e) + sum(e) -
-    m(m+1)/2: the excluded values are ascending and sit after e, and a
-    used value u passes the u - 1 - rank(u) excluded values below it
-    (rank 0 for the smallest used value), which sum to sum(e) - m(m+1)/2.
-    `stirling2_q_by_enumeration` counts by this lemma, with no word.
-
-    >>> e = (0, 1, 0, 0, 3, 4, 0, 0)
-    >>> augmented_word(e)
-    (0, 1, 0, 0, 3, 4, 0, 0, 2, 5, 6, 7)
-    >>> augmented_inversions(e), inversions(e) + sum(e) - 3 * 4 // 2
-    (10, 10)
-    """
-    return inversions(augmented_word(e))
-
-
 def distinct_nonzero_sequences(n: int) -> Iterator[InvSeq]:
     """Members of I_n with pairwise distinct nonzero entries, in
-    lexicographic order, for n up to MAX_ENUM_LENGTH.
+    lexicographic order, for n up to MAX_ENUM_LENGTH (checked at the call).
 
     An odometer over the digits e_1 .. e_{n-1} (digit i runs 0..i, the
     last digit fastest), pruned on the set of values in use: a digit skips
@@ -122,36 +84,48 @@ def distinct_nonzero_sequences(n: int) -> Iterator[InvSeq]:
     if n > MAX_ENUM_LENGTH:
         raise ValueError(f"length {n} above enumeration bound {MAX_ENUM_LENGTH}")
 
-    e = [0] * n
-    used = [False] * n  # used[v] for v >= 1: some slot holds v
-    while True:
-        yield tuple(e)
-        i = n - 1
-        while i:
-            used[e[i]] = False
-            v = e[i] + 1
-            while v <= i and used[v]:
-                v += 1
-            if v <= i:
-                e[i] = v
-                used[v] = True
-                break
-            e[i] = 0
-            i -= 1
-        else:
-            return
+    def walk() -> Iterator[InvSeq]:
+        e = [0] * n
+        used = [False] * n  # used[v] for v >= 1: some slot holds v
+        while True:
+            yield tuple(e)
+            i = n - 1
+            while i:
+                used[e[i]] = False
+                v = e[i] + 1
+                while v <= i and used[v]:
+                    v += 1
+                if v <= i:
+                    e[i] = v
+                    used[v] = True
+                    break
+                e[i] = 0
+                i -= 1
+            else:
+                return
+
+    return walk()
 
 
 @cache
 def _augmented_by_zero_count(n: int) -> list[QLaurent]:
     """Entry k: the augmented-inversion polynomial of the members with k
-    zeros, for every k from one walk, by the lemma of `augmented_inversions`
-    (no word is built): a `Counter` of (zeros, distinct values, inversions,
-    sum) over the validated members, four `tee` branches read in lockstep.
-    A member without exactly m + 1 distinct values, m = n - k, is refused."""
+    zeros, for every k from one walk: a `Counter` of (zeros, distinct
+    values, inversions, sum) over the validated members.  A member without
+    exactly m + 1 distinct values, m = n - k, is refused.
+
+    The defining count is the inversions of e with the values of 1..n-1 it
+    does not use appended in ascending order.  No word is built: a used
+    value u passes the u - 1 - rank(u) appended values below it, so with
+    m nonzero entries, aug(e) = inv(e) + sum(e) - m(m+1)/2.
+
+    >>> e = (0, 1, 0, 0, 3, 4, 0, 0)
+    >>> inversions(e + (2, 5, 6, 7)), inversions(e) + sum(e) - 3 * 4 // 2
+    (10, 10)
+    """
     zeros, values, words, sums = tee(map(validate, distinct_nonzero_sequences(n)), 4)
     tally = Counter(zip(map(countOf, zeros, repeat(0)), map(len, map(set, values)),
-                        inversion_counts(words), map(sum, sums)))
+                        map(inversions, words), map(sum, sums)))
     counts: list[Counter[int]] = [Counter() for _ in range(n + 1)]
     for (k, distinct, inv, total), c in tally.items():
         m = n - k

@@ -24,6 +24,7 @@ from invq.invseq import (
     fixed_freq_poly,
     frequency_vectors,
     inversion_sequences,
+    inversions,
     occurrence_counts,
     sequence_stats,
 )
@@ -51,8 +52,6 @@ from invq.qoperator import (
     substitute_g,
 )
 from invq.qstirling import (
-    augmented_inversions,
-    is_distinct_nonzero,
     milne_from_standard,
     star_from_standard,
     stirling2_q,
@@ -195,10 +194,14 @@ def test_criterion_07_q_stirling():
         for n in range(1, 10):
             by_zeros: dict[int, dict[int, int]] = {}
             for e in inversion_sequences(n):
-                if not is_distinct_nonzero(e):
+                nonzero = [v for v in e if v]
+                if len(nonzero) != len(set(nonzero)):
                     continue
+                # the defining count: e with the values it does not use
+                # appended in ascending order
+                unused = tuple(v for v in range(1, n) if v not in e)
                 acc = by_zeros.setdefault(e.count(0), {})
-                inv = augmented_inversions(e)
+                inv = inversions(e + unused)
                 acc[inv] = acc.get(inv, 0) + 1
             for k in range(1, n + 1):
                 assert stirling2_q(n, k) == QLaurent(by_zeros.get(k, {}))

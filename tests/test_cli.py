@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output text, schema, determinism, exit codes."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
@@ -755,6 +756,8 @@ def test_freq_usage(capsys):
 
 # sha256 of stdout for outputs the benchmark's digests do not cover
 GOLDEN_SHA256 = {
+    "expand 6":
+        "d7e8139ca30263b9a7317320b253c5c415816435189d4f7be06989a4cf016e92",
     "expand 6 --format json":
         "572b18fdf7b109126172673bc7dfbb3c9aa4bf51c4c24ccaa330764045d5368c",
     "lnk 7 3 --format csv":
@@ -923,6 +926,19 @@ def test_console_script_is_installed(tmp_path):
     exe = shutil.which("invq")
     if exe:
         _assert_prints_catalan([exe])
+
+
+def test_package_exports_resolve():
+    """`invq.__all__` lists exactly the names `__init__` imports, once each,
+    and every one resolves, so a name deleted from its module cannot stay
+    in the export list."""
+    tree = ast.parse(Path(invq.__file__).read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(invq.__all__) == sorted(imported)
+    assert len(set(invq.__all__)) == len(invq.__all__)
+    for name in invq.__all__:
+        assert hasattr(invq, name), name
 
 
 def test_perfbench_tracer_installs():

@@ -11,10 +11,8 @@ from invq.identities import (
     check_garsia,
     check_qpower,
     check_stirling_euler,
-    descent_count,
     euler_mahonian_poly,
     eulerian_row,
-    major_index,
     max_displacement_counts,
     permutations,
     _geometric_inverse_pochhammer,
@@ -25,15 +23,6 @@ from invq.qcalc import q_factorial, q_int, q_pochhammer_x
 
 
 # --------------------------------------------------------------- statistics
-
-def test_descents_and_major_index():
-    assert descent_count((3, 1, 2)) == 1
-    assert major_index((3, 1, 2)) == 1
-    assert descent_count((2, 4, 1, 3)) == 1
-    assert major_index((2, 4, 1, 3)) == 2
-    assert major_index((4, 3, 2, 1)) == 6
-    assert descent_count((1, 2, 3)) == 0
-
 
 def test_permutation_enumeration():
     assert sum(1 for _ in permutations(5)) == 120
@@ -72,7 +61,7 @@ def test_max_displacement_rows():
 def test_q_falling_product():
     assert _q_falling_product(3, 0).evaluate(1) == 1
     assert _q_falling_product(3, 2) == q_int(3) * q_int(2)
-    assert _q_falling_product(2, 3).is_zero()
+    assert not _q_falling_product(2, 3)
     assert _q_falling_product(3, 3) == q_factorial(3)
     # against the product of q-integers; for j > k it meets [0]_q = 0
     for k in range(9):

@@ -7,7 +7,7 @@ from operator import attrgetter
 
 import pytest
 
-from invq.invseq import inversion_sequences, sequence_stats
+from invq.invseq import frequency_vectors, inversion_sequences, sequence_stats
 from invq.paths import (
     DyckStats,
     _dyck_core,
@@ -30,6 +30,7 @@ from invq.paths import (
     validate_path,
     weakly_increasing_sequences,
 )
+from invq.qstirling import distinct_nonzero_sequences
 from invq.recurrence import joint_poly
 
 # verbatim worked pairs for the sign involution at n = 4
@@ -80,7 +81,8 @@ def test_weakly_increasing_matches_filtered_enumeration(n):
 
 
 @pytest.mark.parametrize("walk", [weakly_increasing_sequences,
-                                  lattice_paths])
+                                  lattice_paths, distinct_nonzero_sequences,
+                                  frequency_vectors])
 @pytest.mark.parametrize("n", [0, -1])
 def test_walks_refuse_length_at_the_call(walk, n):
     # the refusal comes from the call itself, with nothing iterated

@@ -51,7 +51,7 @@ def eval_at(poly, point):
 ], ids=["MultiPoly", "QLaurent", "SymExpr"])
 def test_term_map_core(value, negate, foreign):
     total = value + negate(value)
-    assert total.is_zero() and total.term_count() == 0
+    assert not total and total.term_count() == 0
     assert total == type(value).zero()
     with pytest.raises(TypeError):
         value + foreign
@@ -77,7 +77,7 @@ def test_zero_elision_and_equality():
     assert X - X == MultiPoly.zero()
     assert not (X - X)
     assert X + 0 == X
-    assert MultiPoly.constant(0).is_zero()
+    assert not MultiPoly.constant(0)
 
 
 def test_bad_keys_rejected():
@@ -294,7 +294,7 @@ def test_marginal_matches_eval_partial(f, name, extra):
     expected = [rest.coefficient(tuple(e if j == i else 0 for j in range(5)))
                 for e in range(length)]
     assert f.marginal(name, length) == expected
-    if not f.is_zero():
+    if f:
         with pytest.raises(ValueError, match="past length"):
             f.marginal(name, degree)
 

@@ -204,8 +204,8 @@ def test_error_paths():
 def test_symexpr_behaves():
     a = SymExpr.from_word(w(G), 2)
     b = SymExpr.from_word(w(G), -2)
-    assert (a + b).is_zero()
-    assert a.scale(0).is_zero()
+    assert not a + b
+    assert not a.scale(0)
     assert str(SymExpr.zero()) == "0"
     assert str(a) == "(2) g"
     assert SymExpr({w(G): 0}) == SymExpr.zero()

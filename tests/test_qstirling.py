@@ -5,11 +5,7 @@ import pytest
 from invq.invseq import inversion_sequences, inversions
 from invq.polyring import QLaurent
 from invq.qstirling import (
-    augmented_inversions,
-    augmented_word,
     distinct_nonzero_sequences,
-    excluded_values,
-    is_distinct_nonzero,
     milne_from_standard,
     star_from_standard,
     stirling2,
@@ -20,6 +16,17 @@ from invq.qstirling import (
 )
 
 Q = QLaurent.q_power(1)
+
+
+def is_distinct_nonzero(e):
+    nonzero = [v for v in e if v]
+    return len(nonzero) == len(set(nonzero))
+
+
+def augmented_inversions(e):
+    """The defining count: the inversions of e with the values of 1..n-1
+    it does not use appended in ascending order."""
+    return inversions(e + tuple(v for v in range(1, len(e)) if v not in e))
 
 
 def zero_marked_sequences(n, k):
@@ -78,27 +85,6 @@ def test_classical_collapse():
 
 # ------------------------------------------------------------------- model
 
-def test_is_distinct_nonzero():
-    assert is_distinct_nonzero((0, 1, 0, 3))
-    assert is_distinct_nonzero((0, 0, 0))
-    assert not is_distinct_nonzero((0, 1, 1))
-
-
-def test_excluded_values_and_augmented_word():
-    assert excluded_values((0, 1, 0, 3)) == (2,)
-    assert excluded_values((0, 0, 0)) == (1, 2)
-    assert augmented_word((0, 1, 0, 3)) == (0, 1, 0, 3, 2)
-    with pytest.raises(ValueError):
-        excluded_values((0, 1, 1))
-
-
-def test_augmented_inversions_worked():
-    assert augmented_inversions((0, 1, 0, 0, 3, 4, 0, 0)) == 10
-    assert augmented_inversions((0,)) == 0
-    # 0,1,0 -> word 0,1,0,2: single inversion (1 before 0)
-    assert augmented_inversions((0, 1, 0)) == 1
-
-
 @pytest.mark.parametrize("n", range(1, 10))
 def test_augmented_inversions_lemma(n):
     # aug(e) = inv(e) + sum(e) - m(m+1)/2, m the count of nonzero entries,
@@ -142,10 +128,11 @@ def test_enumeration_bound():
 
 
 def test_zero_marked_guards():
-    # without a full walk, the pruned walk's own length bound is the guard
+    # without a full walk, the pruned walk's own length bound is the guard,
+    # checked at the call
     for n in (0, 13):
-        with pytest.raises(ValueError):
-            list(distinct_nonzero_sequences(n))
+        with pytest.raises(ValueError, match="length"):
+            distinct_nonzero_sequences(n)
     with pytest.raises(ValueError):
         list(zero_marked_sequences(13, 1))
     for k in (0, 4, -1):

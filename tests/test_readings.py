@@ -47,7 +47,7 @@ def substitute_g_rule(expr):
         for f in word:
             if f.kind != "g":
                 raise ValueError("substitution needs g-only words")
-            if value.is_zero():
+            if not value:
                 break
             value = value * geometric_g_rule(f.deriv, f.shift)
         return value
