@@ -440,7 +440,7 @@ SEQUENCES: dict[str, Callable[[int], int | list[int]]] = {
     "catalan": paths.catalan,
     "narayana": paths.narayana_row,
     "returns": paths.returns_triangle_row,
-    "a114503": paths.peak_sum_row,
+    "a114503": recurrence.peak_sum_row,
     "a056151": lambda n: recurrence.uel_distribution(n)[::-1],
     "involutions": paths.involution_number,
     "eulerian": recurrence.tel_distribution,

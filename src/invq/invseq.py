@@ -24,7 +24,7 @@ from operator import gt, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .polyring import MultiPoly, QLaurent
-from .qcalc import packed_q_binomial, slot_width, unpack
+from .qcalc import q_pascal, slot_width, unpack
 
 InvSeq = tuple[int, ...]
 
@@ -190,22 +190,20 @@ def fixed_freq_poly(counts: Iterable[int]) -> QLaurent:
     A slot deficit makes some factor vanish, so vectors realized by no
     sequence give 0 rather than an error.
 
-    The factors are packed (`qcalc.packed_q_binomial`) and multiplied as
-    ints, then unpacked once.  Every factor has nonnegative coefficients
-    and constant term 1, so no coefficient of a partial product exceeds
-    the one of the full product, which counts sequences of I_n: at most
-    n!, and the slots of `qcalc.slot_width(n)` never carry.
+    The factors are packed (`qcalc.q_pascal` at q = 2**(8 * width),
+    `qcalc.slot_width`) and multiplied as ints, then unpacked once.
     """
     v = _validate_counts(counts)
     n = len(v)
     width = slot_width(n)
+    pascal = q_pascal(n, 1 << 8 * width)
     result = 1
     above = 0  # entries with value > j
     for j in range(n - 1, -1, -1):
         m = n - j - above
         if v[j] > m:
             return QLaurent.zero()
-        result *= packed_q_binomial(m, v[j], width)
+        result *= pascal[m][v[j]]
         above += v[j]
     return QLaurent._summed(dict(enumerate(unpack(result, width))))
 

@@ -24,7 +24,6 @@ from typing import Callable, Hashable, Iterator, NamedTuple
 
 from .invseq import InvSeq, validate
 from .polyring import MultiPoly
-from .recurrence import joint_poly
 
 LatticePath = str
 
@@ -272,22 +271,6 @@ def _dyck_tally(n: int) -> Counter:
 def dyck_distribution(n: int, key: Callable[[DyckStats], Hashable]) -> Counter:
     """Paths of semilength n counted by key(their DyckStats), fresh each call."""
     return Counter(map(key, _dyck_tally(n).elements()))
-
-
-def peak_sum_row(n: int) -> list[int]:
-    """Paths of semilength n by first plus last peak height (a single peak
-    counts twice), as counts for sums 2, 3, ..., 2n.
-
-    Read off the q = 0 slice of F_n at y = p = 1, whose terms are the
-    weakly increasing sequences (`peak_height_poly` ties them to the
-    paths): the first peak height is noz = a and the last uel + 1 = c + 1,
-    so a term x^a z^c counts at sum a + c + 1, index a + c - 1.
-    """
-    terms = joint_poly(n, {"y": 1, "p": 1, "q": 0}).items()
-    row = [0] * (2 * n - 1)
-    for (a, _, c, _, _), count in terms:
-        row[a + c - 1] += count
-    return row
 
 
 def peak_height_poly(n: int) -> MultiPoly:

@@ -53,39 +53,44 @@ def q_binomial(n: int, k: int) -> QLaurent:
     return q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).times_q_power(k)
 
 
-def q_pascal(n: int, q0: int) -> list[list[int]]:
+@cache
+def q_pascal(n: int, q0: int) -> tuple[tuple[int, ...], ...]:
     """Rows 0..n of the Gaussian binomials at q = q0 as ints: row m lists
     qbinom(m, k) at q0 for k = 0..m, by the same Pascal recurrence as
-    `q_binomial`, qbinom(m, k) = qbinom(m-1, k-1) + q0^k qbinom(m-1, k)."""
+    `q_binomial`, qbinom(m, k) = qbinom(m-1, k-1) + q0^k qbinom(m-1, k).
+    Cached, so the rows are tuples that no caller can change.
+
+    At q0 = 2**(8 * width) the table holds the q-binomials packed, the
+    coefficient of q^s in bytes [s * width, (s + 1) * width) (Kronecker
+    substitution), so a product of them is one bigint multiply, read back
+    with `unpack` (see `slot_width`).
+
+    >>> q_pascal(2, 1 << 64)[2][1] == (1 << 64) + 1  # [2]_q, packed
+    True
+    """
     if n < 0:
         raise ValueError("q-Pascal table needs n >= 0")
-    powers = [q0 ** k for k in range(n + 1)]
-    rows = [[1]]
-    for m in range(1, n + 1):
-        prev = rows[-1]
-        rows.append([1, *(prev[k - 1] + powers[k] * prev[k]
-                          for k in range(1, m)), 1])
-    return rows
+    if n == 0:
+        return ((1,),)
+    rows = q_pascal(n - 1, q0)  # its rows shared: one new row per cached n
+    prev = rows[-1]
+    return (*rows, (1, *(prev[k - 1] + q0 ** k * prev[k]
+                         for k in range(1, n)), 1))
 
 
 def slot_width(n: int, scale: int = 1) -> int:
-    """Bytes per q-coefficient when packing q-polynomials whose
-    coefficients are nonnegative and at most n! * scale: bits + 1 bits, so
-    a slot never carries into the next, as 8 bytes while that fits (n <= 20
-    at scale 1, read back by one array unpack), else rounded up to whole
-    bytes."""
+    """Bytes per q-coefficient when packing q-polynomials at
+    q = 2**(8 * width) (`q_pascal`): bits(n! * scale) + 1 bits, 8 bytes
+    while that fits (n <= 20 at scale 1, read back by one array unpack),
+    else whole bytes.  No slot carries into the next while every
+    coefficient met is nonnegative and at most n! * scale.  Products of
+    q-binomials summed over classes of I_n, times bound powers at most
+    `scale`, keep to that (`invseq.fixed_freq_poly`, `recurrence`'s scan):
+    each factor has nonnegative coefficients and constant term 1, so a
+    partial product is at most the full one, and the coefficients of a sum
+    over I_n sum to n!."""
     bits = (math.factorial(n) * scale).bit_length() + 1
     return 8 if bits <= 64 else (bits + 7) // 8
-
-
-@cache
-def packed_q_binomial(n: int, k: int, width: int) -> int:
-    """qbinom(n, k) as one int, the coefficient of q^s in bytes
-    [s * width, (s + 1) * width) (Kronecker substitution): a product of
-    packed polynomials is one bigint multiply, read back with `unpack`
-    while no coefficient reaches 2**(8 * width)."""
-    bits = 8 * width
-    return sum(c << (bits * e) for e, c in q_binomial(n, k).items())
 
 
 def unpack(poly: int, width: int) -> list[int]:

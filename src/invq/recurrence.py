@@ -13,8 +13,7 @@ from itertools import repeat
 from typing import Iterator, Mapping
 
 from .polyring import ExpVec, MultiPoly, QLaurent, check_bindings
-from .qcalc import (packed_q_binomial, q_factorial, q_pascal, slot_width, t_q,
-                    unpack)
+from .qcalc import q_factorial, q_pascal, slot_width, t_q, unpack
 
 _X = MultiPoly.variable("x")
 _Y = MultiPoly.variable("y")
@@ -48,28 +47,24 @@ def _class_scan(n: int, bind: Mapping[str, int]) -> tuple[int | None, list[_Stat
     A state maps the free exponents among y, z and p, folded into the one
     int (ey * n + ez) * r + ep with r = n(n-1)/2 + 1, to its q-polynomial;
     a bound variable adds 0 to the key and its value to the step factor,
-    and a step whose factor is 0 is skipped.  With q free the q-polynomial
-    is packed into one int (see joint_poly), which needs every bound value
-    >= 0; with q bound the q-binomials are ints, read off one
-    `qcalc.q_pascal` table, and so is every state.
+    and a step whose factor is 0 is skipped.  The q-binomials are read off
+    one `qcalc.q_pascal` table: at the bound q, so every state is an int,
+    or with q free at 2**(8 * width), so every state is its q-polynomial
+    packed (which needs every bound value >= 0).
     """
     y0, z0, p0, q0 = map(bind.get, "yzpq")
     r = n * (n - 1) // 2 + 1
     ky = 0 if y0 is not None else n * r
     kz = 0 if z0 is not None else r
     kp = 0 if p0 is not None else 1
-    if q0 is not None:
-        width, pascal = None, q_pascal(n - 1, q0)
-    else:
-        # each coefficient is a sum of summands of those of F_n, at most n!
-        # in all, each times bound powers of at most y^(n-1) z^(n-1) p^(r-1)
+    width = None
+    if q0 is None:  # packed: bound powers at most y^(n-1) z^(n-1) p^(r-1)
         y1, z1, p1 = (max(bind.get(v, 1), 1) for v in "yzp")
         width = slot_width(n, y1 ** (n - 1) * z1 ** (n - 1) * p1 ** (r - 1))
-    # every factor the scan takes, fetched before it starts: the cached
+    pascal = q_pascal(n - 1, 1 << 8 * width if width else q0)
+    # every factor the scan takes, made before it starts: the cached
     # ints then sit apart from the scan's short-lived ones (peak RSS)
-    factors = {(m, v): (packed_q_binomial(m, v, width) if width
-                        else pascal[m][v])
-               * (1 if y0 is None else y0 ** (v - 1))
+    factors = {(m, v): pascal[m][v] * (1 if y0 is None else y0 ** (v - 1))
                for m in range(1, n) for v in range(1, m + 1)}
     states: list[_State] = [{0: 1}]
     for j in range(n - 1, 0, -1):
@@ -127,14 +122,8 @@ def joint_poly(n: int, bind: Mapping[str, int] | None = None) -> MultiPoly:
     `bind` substituted by ints (`MultiPoly.eval_partial`, its oracle).
 
     A sum over frequency classes (`_class_scan`) whose states pack each
-    q-polynomial into one int, coefficient of q^s in bytes
-    [s * width, (s + 1) * width), so that a step is one bigint multiply by
-    a packed q-binomial (Kronecker substitution).  A slot of at least
-    bits(n!) + 1 bits, 8 bytes for n <= 20 (`qcalc.slot_width`), never
-    carries into the next: taking v = 0 of a value passes a state on
-    unchanged, so every coefficient of every product and sum along the scan
-    is a summand of a coefficient of F_n, and those are nonnegative and sum
-    to n!.  The zeros
+    q-polynomial into one int, so that a step is one bigint multiply by a
+    packed q-binomial (`qcalc.q_pascal`, `qcalc.slot_width`).  The zeros
     fill the n - above slots left, giving x^(n-above) y^(n-above-1), and
     z^(n-1) when they fill every slot; bound, each of those is a factor of
     the state.  Unbound, each state unpacks straight into terms of F_n: a
@@ -218,3 +207,19 @@ def uel_distribution(n: int) -> list[int]:
     x = y = p = q = 1.
     """
     return joint_poly(n, {"x": 1, "y": 1, "p": 1, "q": 1}).marginal("z", n)
+
+
+def peak_sum_row(n: int) -> list[int]:
+    """Paths of semilength n by first plus last peak height (a single peak
+    counts twice), as counts for sums 2, 3, ..., 2n.
+
+    Read off the q = 0 slice of F_n at y = p = 1, whose terms are the
+    weakly increasing sequences (`paths.peak_height_poly` ties them to the
+    paths): the first peak height is noz = a and the last uel + 1 = c + 1,
+    so a term x^a z^c counts at sum a + c + 1, index a + c - 1.
+    """
+    terms = joint_poly(n, {"y": 1, "p": 1, "q": 0}).items()
+    row = [0] * (2 * n - 1)
+    for (a, _, c, _, _), count in terms:
+        row[a + c - 1] += count
+    return row

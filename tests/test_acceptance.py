@@ -37,7 +37,6 @@ from invq.paths import (
     lattice_paths,
     narayana_row,
     peak_height_poly,
-    peak_sum_row,
     returns_triangle_row,
     sign_reversing_involution,
     weakly_increasing_sequences,
@@ -62,6 +61,7 @@ from invq.recurrence import (
     inv_poly,
     joint_poly,
     p_factorial,
+    peak_sum_row,
     product_formula,
     uel_distribution,
 )

@@ -4,13 +4,9 @@ import pytest
 
 from invq.identities import eulerian_row, max_displacement_counts
 from invq.oeis import STAT_NAMES, expected_entry, expected_values
-from invq.paths import (
-    catalan,
-    involution_number,
-    narayana_row,
-    peak_sum_row,
-    returns_triangle_row,
-)
+from invq.paths import (catalan, involution_number, narayana_row,
+                        returns_triangle_row)
+from invq.recurrence import peak_sum_row
 
 
 def test_every_entry_is_well_formed():

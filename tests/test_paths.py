@@ -22,7 +22,6 @@ from invq.paths import (
     narayana_row,
     path_from_sequence,
     peak_height_poly,
-    peak_sum_row,
     returns_triangle_row,
     reverse_swap,
     sequence_from_path,
@@ -31,7 +30,7 @@ from invq.paths import (
     weakly_increasing_sequences,
 )
 from invq.qstirling import distinct_nonzero_sequences
-from invq.recurrence import joint_poly
+from invq.recurrence import joint_poly, peak_sum_row
 
 # verbatim worked pairs for the sign involution at n = 4
 TAU_PAIRS = {

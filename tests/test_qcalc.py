@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from invq.polyring import MultiPoly, QLaurent
 from invq.qcalc import (d_q, q_binomial, q_factorial, q_int, q_pascal,
-                        q_pochhammer_x, t_q)
+                        q_pochhammer_x, t_q, unpack)
 
 X = MultiPoly.variable("x")
 
@@ -129,13 +129,22 @@ def test_t_q_is_linear(f):
     assert t_q(2 * f) == 2 * t_q(f)
 
 
-@pytest.mark.parametrize("q0", range(-3, 4))
+@pytest.mark.parametrize("q0", [*range(-3, 4), 1 << 64, 1 << 160])
 def test_q_pascal_matches_q_binomial(q0):
     rows = q_pascal(20, q0)
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
     assert [len(row) for row in rows] == list(range(1, 22))
     for m, row in enumerate(rows):
-        assert row == [q_binomial(m, v).evaluate(q0) for v in range(m + 1)], m
+        assert row == tuple(q_binomial(m, v).evaluate(q0)
+                            for v in range(m + 1)), m
     assert all(type(c) is int for row in rows for c in row)
-    assert q_pascal(0, q0) == [[1]]
+    if q0 in (1 << 64, 1 << 160):  # 8- and 20-byte slots: packed q-binomials
+        width = q0.bit_length() // 8
+        for m, row in enumerate(rows):
+            for v, c in enumerate(row):
+                poly = q_binomial(m, v)
+                assert unpack(c, width) == [poly.coefficient(e) for e in
+                                            range(v * (m - v) + 1)], (m, v)
+    assert q_pascal(0, q0) == ((1,),)
     with pytest.raises(ValueError):
         q_pascal(-1, q0)
