@@ -269,8 +269,12 @@ def _dyck_tally(n: int) -> Counter:
 
 
 def dyck_distribution(n: int, key: Callable[[DyckStats], Hashable]) -> Counter:
-    """Paths of semilength n counted by key(their DyckStats), fresh each call."""
-    return Counter(map(key, _dyck_tally(n).elements()))
+    """Paths of semilength n counted by key(their DyckStats), fresh each
+    call: one key per distinct DyckStats, weighted by its path count."""
+    out: Counter = Counter()
+    for stats, count in _dyck_tally(n).items():
+        out[key(stats)] += count
+    return out
 
 
 def peak_height_poly(n: int) -> MultiPoly:

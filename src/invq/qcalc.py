@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
 from functools import cache
 
 from .polyring import ExpVec, MultiPoly, QLaurent
@@ -81,7 +80,7 @@ def q_pascal(n: int, q0: int) -> tuple[tuple[int, ...], ...]:
 def slot_width(n: int, scale: int = 1) -> int:
     """Bytes per q-coefficient when packing q-polynomials at
     q = 2**(8 * width) (`q_pascal`): bits(n! * scale) + 1 bits, 8 bytes
-    while that fits (n <= 20 at scale 1, read back by one array unpack),
+    while that fits (n <= 20 at scale 1, read back in one C call),
     else whole bytes.  No slot carries into the next while every
     coefficient met is nonnegative and at most n! * scale.  Products of
     q-binomials summed over classes of I_n, times bound powers at most
@@ -96,12 +95,9 @@ def slot_width(n: int, scale: int = 1) -> int:
 def unpack(poly: int, width: int) -> list[int]:
     """The q-coefficients of a packed q-polynomial, lowest power first."""
     data = poly.to_bytes(-(-poly.bit_length() // (8 * width)) * width, "little")
-    if width == 8:  # one C call: an array of 8-byte unsigned ints
-        slots = array("Q")
-        slots.frombytes(data)
-        if sys.byteorder == "big":
-            slots.byteswap()
-        return slots.tolist()
+    if width == 8 and sys.byteorder == "little":
+        # one C call: the bytes read as native 8-byte unsigned ints
+        return memoryview(data).cast("Q").tolist()
     from_bytes = int.from_bytes
     return [from_bytes(data[i:i + width], "little")
             for i in range(0, len(data), width)]

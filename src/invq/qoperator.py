@@ -209,23 +209,22 @@ def comtet_coeff_explicit(n: int, k: int) -> SymExpr:
 def comtet_coeff_recurrence(n: int, k: int) -> SymExpr:
     """Two-term recurrence
     L(n+1, k) = g D_q L(n, k) + q^(n-k+1) g L(n, k-1),
-    from L(0, 0) = empty word."""
+    from L(0, 0) = empty word.  Tabled row by row over m, each L(m, j)
+    built once, keeping only the j that L(n, k) still needs."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-
-    def build(m: int, j: int) -> SymExpr:
-        if m == 0:
-            return (SymExpr.from_word(()) if j == 0 else SymExpr.zero())
-        if j < 1 or j > m:
-            return SymExpr.zero()
-        result = times_g(dq_expr(build(m - 1, j)))
-        lower = build(m - 1, j - 1)
-        if lower:
-            result = result + times_g(lower).scale(
-                QLaurent.q_power(m - j))
-        return result
-
-    return build(n, k)
+    row = {0: SymExpr.from_word(())}  # L(0, j) is 0 for every j != 0
+    for m in range(1, n + 1):
+        new: dict[int, SymExpr] = {}
+        for j in range(max(1, k - n + m), min(m, k) + 1):
+            upper, lower = row.get(j), row.get(j - 1)
+            result = times_g(dq_expr(upper)) if upper else SymExpr.zero()
+            if lower:
+                result = result + times_g(lower).scale(
+                    QLaurent.q_power(m - j))
+            new[j] = result
+        row = new
+    return row[k]
 
 
 # --------------------------------------------------------- specializations

@@ -9,7 +9,6 @@ with the scaled shift x -> x/p, p-degree n.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Iterator, Mapping
 
 from .polyring import ExpVec, MultiPoly, QLaurent, check_bindings
@@ -140,8 +139,8 @@ def joint_poly(n: int, bind: Mapping[str, int] | None = None) -> MultiPoly:
     out: dict[ExpVec, int] = {}
     if not bind:  # distinct terms of F_n, none of them 0
         for ex, ey, ez, ep, cs in joint_runs(n):
-            out.update(zip(zip(repeat(ex), repeat(ey), repeat(ez), repeat(ep),
-                               range(len(cs))), cs))
+            for eq, c in enumerate(cs):
+                out[ex, ey, ez, ep, eq] = c
         return MultiPoly._raw(out)
     scan = bind if "q" in bind else {v: b for v, b in bind.items() if b >= 0}
     x0, y0, z0 = map(bind.get, "xyz")

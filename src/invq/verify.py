@@ -246,13 +246,16 @@ def run_stirling(nmax: int, trunc: int | None = None) -> list[CheckResult]:
 
 def run_operator(nmax: int, trunc: int | None = None) -> list[CheckResult]:
     s = _Suite(nmax)
+    # one (g D_q)^n expansion per n, read by the three rows below; local,
+    # so it is freed when the suite returns.  Each row compares it with
+    # routes that do not read it.
+    expansion = cache(qoperator.operator_expansion)
     s.check("operator.expansion_routes", 7,
             "operator route vs sequence route, n <= {}",
-            lambda n: qoperator.operator_expansion(n)
-            == qoperator.expansion_from_sequences(n))
+            lambda n: expansion(n) == qoperator.expansion_from_sequences(n))
 
     def three_way(n):
-        full = qoperator.operator_expansion(n)
+        full = expansion(n)
         return all(qoperator.comtet_coeff_from_expansion(full, k)
                    == qoperator.comtet_coeff_explicit(n, k)
                    == qoperator.comtet_coeff_recurrence(n, k)
@@ -269,7 +272,7 @@ def run_operator(nmax: int, trunc: int | None = None) -> list[CheckResult]:
     s.check("operator.word_shape", 7,
             "word shape and derivative budget, n <= {}",
             lambda n: all(well_shaped(n, word, coeff) for word, coeff
-                          in qoperator.operator_expansion(n).items()))
+                          in expansion(n).items()))
 
     x = MultiPoly.variable("x")
     s.check("operator.geometric_specialization", 8,

@@ -3,6 +3,7 @@ the packed fixed-frequency product, each against the loop it replaced,
 kept here as the reference."""
 
 import math
+import sys
 from collections import Counter, defaultdict
 
 import pytest
@@ -246,18 +247,22 @@ def test_fixed_freq_poly_matches_qlaurent_product(n):
 
 
 @pytest.mark.parametrize("width", range(1, 11))
-def test_unpack_matches_loop(width):
-    # width 8 reads through one array; zeros inside and a full top slot too
+def test_unpack_matches_loop(width, monkeypatch):
+    # width 8 reads through one memoryview on a little-endian host, and is
+    # run again as on a big-endian one, through the generic slot loop;
+    # zeros inside and a full top slot too
     top = 2 ** (8 * width) - 1
-    for coeffs in ([], [0], [1], [top], [5, 0, 0, top, 1], [0, 3, 0],
-                   list(range(1, 40))):
-        packed = sum(c << (8 * width * e) for e, c in enumerate(coeffs))
-        got = unpack(packed, width)
-        assert got == unpack_loop(packed, width), (width, coeffs)
-        assert type(got) is list and all(type(c) is int for c in got)
-        while coeffs and not coeffs[-1]:
-            coeffs = coeffs[:-1]
-        assert got == coeffs
+    for byteorder in (sys.byteorder, "big") if width == 8 else (sys.byteorder,):
+        monkeypatch.setattr(sys, "byteorder", byteorder)
+        for coeffs in ([], [0], [1], [top], [5, 0, 0, top, 1], [0, 3, 0],
+                       list(range(1, 40))):
+            packed = sum(c << (8 * width * e) for e, c in enumerate(coeffs))
+            got = unpack(packed, width)
+            assert got == unpack_loop(packed, width), (width, byteorder, coeffs)
+            assert type(got) is list and all(type(c) is int for c in got)
+            while coeffs and not coeffs[-1]:
+                coeffs = coeffs[:-1]
+            assert got == coeffs
 
 
 def test_slot_width_rule():

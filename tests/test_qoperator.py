@@ -156,6 +156,13 @@ def test_coefficient_three_ways(n):
         assert extracted == comtet_coeff_recurrence(n, k)
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_recurrence_matches_explicit_past_three_way(n):
+    # the tabled recurrence at lengths the three-way test does not reach
+    for k in range(1, n + 1):
+        assert comtet_coeff_recurrence(n, k) == comtet_coeff_explicit(n, k), k
+
+
 def test_extraction_covers_everything():
     full = operator_expansion(5)
     words = sum(comtet_coeff_from_expansion(full, k).term_count()

@@ -5,7 +5,7 @@ from itertools import chain
 
 import pytest
 
-from invq import paths, qstirling, verify
+from invq import paths, qoperator, qstirling, verify
 from invq.cli import main
 from invq.verify import SUITES, run_suite
 
@@ -82,6 +82,24 @@ def test_raising_check_fails_and_the_run_goes_on(monkeypatch):
         "fails at n = 0 (ArithmeticError: oracle broke); ")
     names = [r.name for r in results]
     assert names.index("stirling.classical_collapse") < len(names) - 1
+
+
+@pytest.mark.parametrize("route, rows", [
+    ("expansion_from_sequences", ["operator.expansion_routes"]),
+    ("comtet_coeff_recurrence", ["operator.coefficient_three_way"]),
+    ("operator_expansion", ["operator.expansion_routes",
+                            "operator.coefficient_three_way",
+                            "operator.word_shape"]),
+], ids=["sequence_route", "recurrence", "shared_expansion"])
+def test_operator_rows_fail_on_their_own(monkeypatch, route, rows):
+    # the rows read one expansion per n between them; a route negated
+    # still fails the rows that read it, and no other (word_shape by its
+    # nonnegative coefficients)
+    right = getattr(qoperator, route)
+    monkeypatch.setattr(qoperator, route, lambda *args: right(*args).scale(-1))
+    failed = [r for r in run_suite("operator", nmax=5) if not r.passed]
+    assert [r.name for r in failed] == rows
+    assert all(r.detail.startswith("fails at n = 1;") for r in failed)
 
 
 # ------------------------------------------- the validation the walks keep
