@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cache
-from itertools import accumulate, repeat
-from operator import countOf, mul, sub
 from typing import Callable, Hashable, Iterator, NamedTuple
 
 from .invseq import InvSeq, validate
@@ -28,7 +26,6 @@ from .polyring import MultiPoly
 LatticePath = str
 
 _SWAP = str.maketrans("EN", "NE")
-_STEP = {"E": 1, "N": -1}
 
 
 class DyckStats(NamedTuple):
@@ -75,7 +72,11 @@ def lattice_paths(n: int) -> Iterator[LatticePath]:
     """All E/N words of semilength n weakly below the diagonal, E before N:
     each next word turns the last E that can become an N into one, then
     writes the remaining Es before the Ns.  The semilength is checked at
-    the call, before any word is made."""
+    the call, before any word is made.
+
+    >>> list(lattice_paths(3))
+    ['EEENNN', 'EENENN', 'EENNEN', 'ENEENN', 'ENENEN']
+    """
     if n < 1:
         raise ValueError("semilength must be >= 1")
 
@@ -84,15 +85,13 @@ def lattice_paths(n: int) -> Iterator[LatticePath]:
         yield word
         while word != last:
             easts = norths = n  # counted before position i as i falls
-            for i in range(2 * n - 1, 0, -1):
-                if word[i] == "N":
-                    norths -= 1
-                    continue
+            i = 2 * n
+            while norths >= easts:
+                j = word.rfind("E", 0, i)  # the Ns between j and i go at once
+                norths -= i - j - 1
                 easts -= 1
-                if norths < easts:
-                    word = (word[:i] + "N" + "E" * (n - easts)
-                            + "N" * (n - norths - 1))
-                    break
+                i = j
+            word = word[:i] + "N" + "E" * (n - easts) + "N" * (n - norths - 1)
             yield word
 
     return walk()
@@ -100,6 +99,8 @@ def lattice_paths(n: int) -> Iterator[LatticePath]:
 
 def validate_path(word: str) -> str:
     """Check the subdiagonal path conditions and return the word."""
+    if not isinstance(word, str):
+        raise ValueError(f"word must be a str, got {type(word).__name__}")
     if not word or len(word) % 2:
         raise ValueError("word length must be a positive even number")
     easts = norths = 0
@@ -129,11 +130,16 @@ def path_from_sequence(e: InvSeq) -> LatticePath:
 
 
 def _path_core(e: InvSeq) -> LatticePath:
-    """path_from_sequence of a tuple already known to be in I_n."""
-    rises = list(map(sub, e[1:] + (len(e),), e))  # the last one is >= 1
-    if min(rises) < 0:
-        raise ValueError("sequence must be weakly increasing")
-    return "E" + "E".join(map(mul, repeat("N"), rises))
+    """path_from_sequence of a tuple already known to be in I_n: the
+    (i+1)-st E follows i Es and e_i Ns, so it sits at position i + e_i."""
+    word = bytearray(b"N" * (2 * len(e)))
+    last = 0
+    for i, v in enumerate(e):
+        if v < last:
+            raise ValueError("sequence must be weakly increasing")
+        word[i + v] = 69  # ord("E")
+        last = v
+    return word.decode()
 
 
 def sequence_from_path(word: LatticePath) -> InvSeq:
@@ -175,14 +181,22 @@ def dyck_stats(word: LatticePath) -> DyckStats:
     are measured at the top: the first peak has every E before the first
     N below it, the last peak every N after the last E.
     """
-    return _dyck_core(validate_path(word))
+    return DyckStats._make(_dyck_core(validate_path(word)))
 
 
-def _dyck_core(word: LatticePath) -> DyckStats:
-    """dyck_stats of a word already known to be a path."""
-    return DyckStats(word.count("EN"), word.count("NE"),
-                     countOf(accumulate(map(_STEP.get, word)), 0),
-                     word.index("N"), len(word) - 1 - word.rindex("E"))
+def _dyck_core(word: LatticePath) -> tuple[int, int, int, int, int]:
+    """The fields of dyck_stats, as a plain tuple, of a word already known
+    to be a path."""
+    height = returns = 0
+    for ch in word:
+        if ch == "E":
+            height += 1
+        else:
+            height -= 1
+            if not height:
+                returns += 1
+    return (word.count("EN"), word.count("NE"), returns,
+            word.index("N"), len(word) - 1 - word.rindex("E"))
 
 
 # ---------------------------------------------------- q = -1 sign involution
@@ -264,8 +278,9 @@ def returns_triangle_row(n: int) -> list[int]:
 def _dyck_tally(n: int) -> Counter:
     """Paths of semilength n by DyckStats: the one walk the readers below
     share.  The walk builds its members valid, so the unvalidated core
-    reads them."""
-    return Counter(map(_dyck_core, lattice_paths(n)))
+    reads them, and each distinct key becomes a DyckStats once."""
+    tally = Counter(map(_dyck_core, lattice_paths(n)))
+    return Counter({DyckStats._make(k): c for k, c in tally.items()})
 
 
 def dyck_distribution(n: int, key: Callable[[DyckStats], Hashable]) -> Counter:

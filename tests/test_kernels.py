@@ -24,7 +24,17 @@ from invq.invseq import (
     validate,
     walk_inversions,
 )
-from invq.paths import _path_core, path_from_sequence, weakly_increasing_sequences
+from invq.paths import (
+    DyckStats,
+    _dyck_core,
+    _dyck_tally,
+    _path_core,
+    catalan,
+    dyck_stats,
+    lattice_paths,
+    path_from_sequence,
+    weakly_increasing_sequences,
+)
 from invq.polyring import MultiPoly, QLaurent
 from invq.qcalc import q_binomial, slot_width, unpack
 from invq.qstirling import _augmented_by_zero_count, distinct_nonzero_sequences
@@ -69,6 +79,29 @@ def path_from_sequence_loop(e):
         nxt = e[i + 1] if i + 1 < n else n
         pieces.append("N" * (nxt - e[i]))
     return "".join(pieces)
+
+
+def dyck_stats_loop(word):
+    # the running height, letter by letter: a peak is an E then an N, read
+    # at its top; a valley an N then an E; a return an N landing on 0
+    height = peaks = valleys = returns = first_peak = last_peak = 0
+    prev = None
+    for ch in word:
+        if ch == "E":
+            if prev == "N":
+                valleys += 1
+            height += 1
+        else:
+            if prev == "E":
+                peaks += 1
+                if peaks == 1:
+                    first_peak = height
+                last_peak = height
+            height -= 1
+            if height == 0:
+                returns += 1
+        prev = ch
+    return peaks, valleys, returns, first_peak, last_peak
 
 
 def fixed_freq_poly_product(counts):
@@ -188,6 +221,21 @@ def test_path_from_sequence_matches_loop(n):
     for e in weakly_increasing_sequences(n):
         assert path_from_sequence(e) == _path_core(e) == \
             path_from_sequence_loop(e), e
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_dyck_core_and_dyck_stats_match_loop(n):
+    expected_tally = Counter()
+    for w in lattice_paths(n):
+        expected = dyck_stats_loop(w)
+        assert _dyck_core(w) == expected, w
+        stats = dyck_stats(w)
+        assert type(stats) is DyckStats and stats == expected, w
+        expected_tally[expected] += 1
+    tally = _dyck_tally.__wrapped__(n)
+    assert all(type(k) is DyckStats for k in tally)
+    assert tally == expected_tally
+    assert sum(tally.values()) == catalan(n)
 
 
 # ----------------------------------------------------- random int words

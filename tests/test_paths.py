@@ -113,6 +113,17 @@ def test_validate_path_rejects():
     assert validate_path("EN") == "EN"
 
 
+@pytest.mark.parametrize("word", [["E", "N"], ("E", "N"), b"EN"],
+                         ids=["list", "tuple", "bytes"])
+@pytest.mark.parametrize("fn", [validate_path, sequence_from_path,
+                                reverse_swap, dyck_stats],
+                         ids=attrgetter("__name__"))
+def test_path_maps_refuse_a_word_that_is_not_a_str(fn, word):
+    with pytest.raises(ValueError, match="word must be a str, got "
+                       + type(word).__name__):
+        fn(word)
+
+
 def test_non_monotone_sequence_rejected():
     with pytest.raises(ValueError):
         path_from_sequence((0, 1, 0))
