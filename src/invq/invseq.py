@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from itertools import chain, combinations, product, repeat, starmap
-from operator import gt, sub
+from itertools import chain, combinations, compress, product, repeat, starmap
+from operator import add, gt, mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .polyring import MultiPoly, QLaurent
@@ -80,30 +80,38 @@ def inversions(w: Sequence[int]) -> int:
     return sum(starmap(gt, combinations(w, 2)))
 
 
-def walk_inversions(n: int) -> Iterator[int]:
-    """The inversions of every member of I_n, in `inversion_sequences(n)`
-    order, for n up to MAX_ENUM_LENGTH; the bounds are checked at the call.
+def walk_keys(n: int) -> Iterator[int]:
+    """One int key per member of I_n, in `inversion_sequences(n)` order,
+    for n up to MAX_ENUM_LENGTH; the bounds are checked at the call.
 
-    A member is a prefix p in I_{n-1} followed by a last entry v, and the
-    inversions ending at v are the entries of p above it (the inversion
-    table view, Knuth, TAOCP Vol. 3, 5.1.1):
-    inv(p v) = inv(p) + (n - 1) - bisect_right(sorted(p), v).  So each
-    prefix costs one sort and n bisects, mapped in C, and no pair compare.
+    A key is code << 7 | inv, where code = sum of 16**v over the entries
+    holds the frequency vector one nibble per value: a count is at most
+    n <= 12 < 16, and inv at most C(12, 2) = 66 < 128.  A member is a
+    prefix p in I_{n-1} followed by a last entry v, and the inversions
+    ending at v are the entries of p above it (the inversion table view,
+    Knuth, TAOCP Vol. 3, 5.1.1):
+    key(p v) = key(p) + (16**v << 7) + (n - 1) - bisect_right(sorted(p), v).
+    That step depends on p only through its class, so each prefix class
+    gets its step list once per call, mapped in C onto its prefixes' keys.
 
-    >>> list(walk_inversions(3))
+    >>> [key & 127 for key in walk_keys(3)]
     [0, 0, 0, 1, 0, 0]
     """
     inversion_sequences(n)  # checks the bounds at the call
     if n == 1:
-        return iter((0,))
-    top, lasts = n - 1, range(n)
+        return iter((1 << 7,))
+    top, steps = n - 1, {}
 
-    def members(inv: int, prefix: InvSeq) -> Iterator[int]:
-        above = map(bisect_right, repeat(sorted(prefix)), lasts)
-        return map(sub, repeat(inv + top), above)
+    def members(key: int) -> Iterator[int]:
+        code = key >> 7
+        step = steps.get(code)
+        if step is None:
+            entries = [v for v in range(top) for _ in range(code >> 4 * v & 15)]
+            step = steps[code] = [(1 << 4 * v + 7) + top - bisect_right(entries, v)
+                                  for v in range(n)]
+        return map(add, repeat(key), step)
 
-    return chain.from_iterable(
-        map(members, walk_inversions(n - 1), inversion_sequences(n - 1)))
+    return chain.from_iterable(map(members, walk_keys(n - 1)))
 
 
 def sequence_stats(e: Iterable[int]) -> SeqStats:
@@ -129,37 +137,33 @@ def occurrence_counts(e: Iterable[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def _class_tally(n: int) -> dict[bytes, dict[int, int]]:
-    """I_n grouped by sorted form: {sorted e: {inv: count}}, from one
-    pass (not cached) over two walks of I_n in step: the sequences, and
-    their inversions counted from their prefixes by `walk_inversions`.
+def _class_tally(n: int) -> dict[tuple[int, ...], dict[int, int]]:
+    """I_n grouped by frequency vector: {vector: {inv: count}}, from one
+    pass (not cached) of `walk_keys(n)`, one Counter of int keys.
 
-    Sorting keeps the multiset of entries, so the frequency vector and the
-    noz, tel, uel and sum statistics, and the sorted form is itself a
-    member of I_n.  It is kept as bytes (every entry is below n <= 12),
-    under half the size of a tuple: the counter of (sorted form, inv)
-    pairs and the tally built from it are the walk's peak memory.  Keys
-    come in the order the walk first meets them."""
-    pairs = Counter(zip(map(bytes, map(sorted, inversion_sequences(n))),
-                        walk_inversions(n)))
-    tally: defaultdict[bytes, dict[int, int]] = defaultdict(dict)
-    for (w, inv), c in pairs.items():
-        tally[w][inv] = c
-    return tally
+    Only the Counter of (class, inv) keys and the tally regrouped from it
+    are held, and each class's code is decoded once.  Vectors come in the
+    order the walk first meets them."""
+    tally: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for key, c in Counter(walk_keys(n)).items():
+        tally[key >> 7][key & 127] = c
+    return {tuple(code >> 4 * v & 15 for v in range(n)): invs
+            for code, invs in tally.items()}
 
 
 def brute_joint_poly(n: int) -> MultiPoly:
     """Sum of x^noz y^tel z^uel p^sum q^inv over all of I_n, by enumeration:
-    the statistics other than inv are read off each sorted form of
+    the statistics other than inv are read off each frequency vector of
     `_class_tally`.  Classes can share those, so their counts are summed."""
     if n < 1 or n > MAX_BRUTE_LENGTH:
         raise ValueError(f"length must be in 1..{MAX_BRUTE_LENGTH}")
     out: dict[tuple[int, ...], int] = {}
     get = out.get
-    for w, invs in _class_tally(n).items():
-        noz, tel, uel, total = w.count(0), n - len(set(w)), n - w[-1] - 1, sum(w)
+    for v, invs in _class_tally(n).items():
+        used = list(compress(range(n), v))  # the distinct entries, ascending
+        stats = (v[0], n - len(used), n - used[-1] - 1, sum(map(mul, range(n), v)))
         for inv, c in invs.items():
-            key = (noz, tel, uel, total, inv)
+            key = (*stats, inv)
             out[key] = get(key, 0) + c
     return MultiPoly._raw(out)
 
@@ -210,12 +214,11 @@ def fixed_freq_poly(counts: Iterable[int]) -> QLaurent:
 
 def brute_class_polys(n: int) -> dict[tuple[int, ...], QLaurent]:
     """The inversion polynomial of every frequency class met in I_n, read
-    off `_class_tally` (oracle path): only its Catalan-many sorted keys are
-    read with `occurrence_counts`.  Vectors realized by no sequence are
+    off `_class_tally` (oracle path).  Vectors realized by no sequence are
     absent."""
     if n > MAX_CLASS_LENGTH:
         raise ValueError(f"brute-force bound is length {MAX_CLASS_LENGTH}")
-    return {occurrence_counts(w): QLaurent(c) for w, c in _class_tally(n).items()}
+    return {v: QLaurent(c) for v, c in _class_tally(n).items()}
 
 
 def frequency_vectors(n: int) -> Iterator[tuple[int, ...]]:

@@ -166,14 +166,13 @@ def run_tau(nmax: int, trunc: int | None = None) -> list[CheckResult]:
     # The walk's members are in I_n by construction, so they go to the
     # unvalidated core; every image goes back through the public map,
     # which refuses one outside I_n: that image fails the involution check.
-    # A member's inversions come from its prefix (`walk_inversions`), an
-    # image's from its pairs (`inversions`): the unit-change test compares
-    # two different counters.
+    # A member's inversions come from its prefix (the low bits of its
+    # `walk_keys` key), an image's from its pairs (`inversions`): the
+    # unit-change test compares two different counters.
     @cache
     def scan(n: int) -> tuple[bool, int]:
         involutive, fixed = True, 0
-        invs = invseq.walk_inversions(n)
-        for e, inv in zip(invseq.inversion_sequences(n), invs):
+        for e, key in zip(invseq.inversion_sequences(n), invseq.walk_keys(n)):
             image = paths._involution_core(e)
             if image == e:
                 fixed += 1
@@ -182,7 +181,7 @@ def run_tau(nmax: int, trunc: int | None = None) -> list[CheckResult]:
                 back = paths.sign_reversing_involution(image)
             except ValueError:
                 back = None
-            if back != e or abs(invseq.inversions(image) - inv) != 1:
+            if back != e or abs(invseq.inversions(image) - (key & 127)) != 1:
                 involutive = False
         return involutive, fixed
 

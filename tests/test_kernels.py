@@ -4,12 +4,14 @@ kept here as the reference."""
 
 import math
 import sys
+from bisect import bisect_right
 from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from invq import invseq, qcalc, recurrence
 from invq.identities import euler_mahonian_poly, max_displacement_counts, permutations
 from invq.invseq import (
     _validate_counts,
@@ -22,7 +24,7 @@ from invq.invseq import (
     occurrence_counts,
     sequence_stats,
     validate,
-    walk_inversions,
+    walk_keys,
 )
 from invq.paths import (
     DyckStats,
@@ -170,15 +172,52 @@ def test_inversion_sequence_kernels_match_loops(n):
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_walk_inversions_matches_inversion_counts(n):
-    # the prefix counter against the pair counter, in walk order
-    assert list(walk_inversions(n)) == list(
-        map(inversions, inversion_sequences(n)))
+    # each key decoded, in walk order: the frequency vector from its
+    # nibbles above bit 7 and the prefix-counted inversions from its low
+    # 7 bits, against occurrence_counts and the pair counter
+    decoded = [(tuple(key >> 4 * v + 7 & 15 for v in range(n)), key & 127)
+               for key in walk_keys(n)]
+    assert decoded == [(occurrence_counts(e), inversions(e))
+                       for e in inversion_sequences(n)]
 
 
 @pytest.mark.parametrize("n", [0, -1, 13])
 def test_walk_inversions_refuses_length_at_the_call(n):
+    # the key layout holds up to the bound 12: a count is at most 12 < 16
+    # (one nibble) and inv at most C(12, 2) = 66 < 128 (7 bits)
     with pytest.raises(ValueError, match="length"):
-        walk_inversions(n)
+        walk_keys(n)
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_walk_keys_steps_once_per_prefix_class_per_call(n, monkeypatch):
+    # one step list of k + 1 bisects per class of I_k, k < n, on every
+    # call: not one per prefix, and none kept from an earlier call
+    calls = []
+
+    def counted(entries, v):
+        calls.append(v)
+        return bisect_right(entries, v)
+
+    monkeypatch.setattr(invseq, "bisect_right", counted)
+    for _ in range(2):
+        calls.clear()
+        assert sum(1 for _ in walk_keys(n)) == math.factorial(n)
+        assert len(calls) == sum(catalan(k) * (k + 1) for k in range(1, n))
+
+
+def test_enumeration_oracles_read_no_class_scan(monkeypatch):
+    # the oracles of the class scan and the packed product read neither,
+    # under any name a module binds them to
+    def refuse(*args, **kwargs):
+        raise AssertionError("an enumeration oracle read a route it checks")
+
+    for module in (qcalc, invseq, recurrence):
+        for name in ("q_pascal", "_class_scan", "fixed_freq_poly"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert brute_joint_poly(6) == brute_joint_poly_stats(6)
+    assert brute_class_polys(6) == brute_class_polys_loop(6)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
