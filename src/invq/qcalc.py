@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cache
+from functools import cache, lru_cache
 
 from .polyring import ExpVec, MultiPoly, QLaurent
 
@@ -20,22 +20,24 @@ def q_int(k: int) -> QLaurent:
     >>> str(q_int(3))
     'q^2 + q + 1'
     """
-    if k < 0:
-        raise ValueError("q-integer needs k >= 0")
+    if type(k) is not int or k < 0:
+        raise ValueError("q-integer needs an int k >= 0")
     return QLaurent._raw({i: 1 for i in range(k)})
 
 
-@cache
+# typed, here and on q_binomial: 3.0 or True must miss the cached entry of
+# 3 or 1 and reach the int check
+@lru_cache(maxsize=None, typed=True)
 def q_factorial(k: int) -> QLaurent:
     """[k]_q! = [1]_q [2]_q ... [k]_q, with [0]_q! = 1."""
-    if k < 0:
-        raise ValueError("q-factorial needs k >= 0")
+    if type(k) is not int or k < 0:
+        raise ValueError("q-factorial needs an int k >= 0")
     if k == 0:
         return QLaurent.one()
     return q_factorial(k - 1) * q_int(k)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def q_binomial(n: int, k: int) -> QLaurent:
     """Gaussian binomial coefficient as a q-polynomial.
 
@@ -43,6 +45,8 @@ def q_binomial(n: int, k: int) -> QLaurent:
     qbinom(n, k) = qbinom(n-1, k-1) + q^k * qbinom(n-1, k),
     which keeps everything division-free.  Out-of-range k gives 0.
     """
+    if type(n) is not int or type(k) is not int:
+        raise ValueError("q-binomial needs int n and k")
     if n < 0:
         raise ValueError("q-binomial needs n >= 0")
     if k < 0 or k > n:

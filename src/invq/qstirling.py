@@ -12,11 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import repeat, tee
-from operator import countOf
-from typing import Iterator
 
-from .invseq import MAX_ENUM_LENGTH, InvSeq, inversions, validate
+from .invseq import inversions
 from .polyring import QLaurent
 from .qcalc import q_int
 
@@ -70,49 +67,14 @@ def stirling2(n: int, k: int) -> int:
 
 # ------------------------------------------------- inversion-sequence model
 
-def distinct_nonzero_sequences(n: int) -> Iterator[InvSeq]:
-    """Members of I_n with pairwise distinct nonzero entries, in
-    lexicographic order, for n up to MAX_ENUM_LENGTH (checked at the call).
-
-    An odometer over the digits e_1 .. e_{n-1} (digit i runs 0..i, the
-    last digit fastest), pruned on the set of values in use: a digit skips
-    every value another slot holds, so the walk visits the Bell(n)-many
-    members and nothing else.
-    """
-    if n < 1:
-        raise ValueError("length must be >= 1")
-    if n > MAX_ENUM_LENGTH:
-        raise ValueError(f"length {n} above enumeration bound {MAX_ENUM_LENGTH}")
-
-    def walk() -> Iterator[InvSeq]:
-        e = [0] * n
-        used = [False] * n  # used[v] for v >= 1: some slot holds v
-        while True:
-            yield tuple(e)
-            i = n - 1
-            while i:
-                used[e[i]] = False
-                v = e[i] + 1
-                while v <= i and used[v]:
-                    v += 1
-                if v <= i:
-                    e[i] = v
-                    used[v] = True
-                    break
-                e[i] = 0
-                i -= 1
-            else:
-                return
-
-    return walk()
-
-
 @cache
 def _augmented_by_zero_count(n: int) -> list[QLaurent]:
-    """Entry k: the augmented-inversion polynomial of the members with k
-    zeros, for every k from one walk: a `Counter` of (zeros, distinct
-    values, inversions, sum) over the validated members.  A member without
-    exactly m + 1 distinct values, m = n - k, is refused.
+    """Entry k: the augmented-inversion polynomial of the members of I_n
+    with k zeros and pairwise distinct nonzero entries, for every k from
+    one recursive walk with one leaf per member (Bell(n) in all).  It
+    carries (zeros, used, inv, total), `used` a bitmask of the nonzero
+    values placed: slot i = 1 .. n-1 takes 0, passing every used value, or
+    an unused v in 1..i, passing the used values above v.
 
     The defining count is the inversions of e with the values of 1..n-1 it
     does not use appended in ascending order.  No word is built: a used
@@ -123,25 +85,34 @@ def _augmented_by_zero_count(n: int) -> list[QLaurent]:
     >>> inversions(e + (2, 5, 6, 7)), inversions(e) + sum(e) - 3 * 4 // 2
     (10, 10)
     """
-    zeros, values, words, sums = tee(map(validate, distinct_nonzero_sequences(n)), 4)
-    tally = Counter(zip(map(countOf, zeros, repeat(0)), map(len, map(set, values)),
-                        map(inversions, words), map(sum, sums)))
+    if n < 1:
+        raise ValueError("length must be >= 1")
     counts: list[Counter[int]] = [Counter() for _ in range(n + 1)]
-    for (k, distinct, inv, total), c in tally.items():
-        m = n - k
-        if distinct != m + 1:
-            raise ValueError("nonzero entries must be pairwise distinct")
-        counts[k][inv + total - m * (m + 1) // 2] += c
+
+    def walk(i: int, zeros: int, used: int, inv: int, total: int) -> None:
+        if i == n:
+            m = n - zeros
+            counts[zeros][inv + total - m * (m + 1) // 2] += 1
+            return
+        walk(i + 1, zeros + 1, used, inv + used.bit_count(), total)
+        for v in range(1, i + 1):
+            if not used >> v & 1:
+                walk(i + 1, zeros, used | 1 << v,
+                     inv + (used >> v).bit_count(), total + v)
+
+    walk(1, 1, 0, 0, 0)
     return [QLaurent(c) for c in counts]
 
 
 def stirling2_q_by_enumeration(n: int, k: int) -> QLaurent:
-    """Augmented-inversion generating polynomial over the members of
-    distinct_nonzero_sequences(n) with exactly k zeros.
+    """Augmented-inversion generating polynomial over the members of I_n
+    with exactly k zeros and pairwise distinct nonzero entries.
 
     Brute-force oracle for stirling2_q; bounded at n <= MAX_MODEL_LENGTH.
     One walk per n serves every k.
     """
+    if type(n) is not int or type(k) is not int:
+        raise ValueError("n and k must be ints")
     if n > MAX_MODEL_LENGTH:
         raise ValueError(f"brute-force bound is n <= {MAX_MODEL_LENGTH}")
     if not 1 <= k <= n:

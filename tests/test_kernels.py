@@ -39,7 +39,7 @@ from invq.paths import (
 )
 from invq.polyring import MultiPoly, QLaurent
 from invq.qcalc import q_binomial, slot_width, unpack
-from invq.qstirling import _augmented_by_zero_count, distinct_nonzero_sequences
+from invq.qstirling import _augmented_by_zero_count
 from invq.recurrence import joint_poly
 
 # ------------------------------------------------------ reference loops
@@ -151,8 +151,10 @@ def max_displacement_counts_loop(n):
 
 def augmented_by_zero_count_loop(n):
     counts = [Counter() for _ in range(n + 1)]
-    for e in distinct_nonzero_sequences(n):
-        counts[e.count(0)][augmented_inversions_loop(e)] += 1
+    for e in inversion_sequences(n):
+        nonzero = [v for v in e if v]
+        if len(nonzero) == len(set(nonzero)):
+            counts[e.count(0)][augmented_inversions_loop(e)] += 1
     return [QLaurent(c) for c in counts]
 
 

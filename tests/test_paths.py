@@ -29,7 +29,7 @@ from invq.paths import (
     validate_path,
     weakly_increasing_sequences,
 )
-from invq.qstirling import distinct_nonzero_sequences
+from invq.qstirling import _augmented_by_zero_count
 from invq.recurrence import joint_poly, peak_sum_row
 
 # verbatim worked pairs for the sign involution at n = 4
@@ -80,7 +80,7 @@ def test_weakly_increasing_matches_filtered_enumeration(n):
 
 
 @pytest.mark.parametrize("walk", [weakly_increasing_sequences,
-                                  lattice_paths, distinct_nonzero_sequences,
+                                  lattice_paths, _augmented_by_zero_count,
                                   frequency_vectors])
 @pytest.mark.parametrize("n", [0, -1])
 def test_walks_refuse_length_at_the_call(walk, n):

@@ -33,6 +33,9 @@ def test_q_int_values():
     assert q_int(1) == QLaurent.one()
     assert str(q_int(3)) == "q^2 + q + 1"
     assert q_int(5).evaluate(1) == 5
+    for bad in (-1, 3.0, 2.5, True, False):
+        with pytest.raises(ValueError, match="q-integer"):
+            q_int(bad)
 
 
 def test_q_factorial_values():
@@ -40,6 +43,10 @@ def test_q_factorial_values():
     assert str(q_factorial(3)) == "q^3 + 2q^2 + 2q + 1"
     assert q_factorial(5).evaluate(1) == 120
     assert q_factorial(6) == q_factorial(5) * q_int(6)
+    # refused even once the int with the same hash is cached
+    for bad in (-1, 3.0, 2.5, True, False):
+        with pytest.raises(ValueError, match="q-factorial"):
+            q_factorial(bad)
 
 
 def test_q_binomial_frozen():
@@ -47,6 +54,12 @@ def test_q_binomial_frozen():
     assert q_binomial(5, 0) == QLaurent.one()
     assert q_binomial(3, 5) == QLaurent.zero()
     assert q_binomial(5, -1) == QLaurent.zero()
+    # refused even once the ints with the same hashes are cached
+    assert q_binomial(3, 1) == q_int(3) and q_binomial(1, 1) == QLaurent.one()
+    for n, k in ((2.5, 1), (3.0, 1), (3, 1.0), (True, 1), (3, True),
+                 (True, True), (-1, 0)):
+        with pytest.raises(ValueError, match="q-binomial"):
+            q_binomial(n, k)
 
 
 @pytest.mark.parametrize("n", range(0, 8))

@@ -1,11 +1,12 @@
 """q-Stirling families and their inversion-sequence model."""
 
+from collections import Counter
+
 import pytest
 
 from invq.invseq import inversion_sequences, inversions
 from invq.polyring import QLaurent
 from invq.qstirling import (
-    distinct_nonzero_sequences,
     milne_from_standard,
     star_from_standard,
     stirling2,
@@ -30,11 +31,12 @@ def augmented_inversions(e):
 
 
 def zero_marked_sequences(n, k):
-    """Members of I_n with exactly k zeros and distinct nonzero entries."""
+    """Members of I_n with exactly k zeros and distinct nonzero entries, a
+    filter of the full walk."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    for e in distinct_nonzero_sequences(n):
-        if e.count(0) == k:
+    for e in inversion_sequences(n):
+        if e.count(0) == k and is_distinct_nonzero(e):
             yield e
 
 
@@ -89,7 +91,7 @@ def test_classical_collapse():
 def test_augmented_inversions_lemma(n):
     # aug(e) = inv(e) + sum(e) - m(m+1)/2, m the count of nonzero entries,
     # member by member
-    for e in distinct_nonzero_sequences(n):
+    for e in filter(is_distinct_nonzero, inversion_sequences(n)):
         m = n - e.count(0)
         assert augmented_inversions(e) == inversions(e) + sum(e) - m * (m + 1) // 2, e
 
@@ -102,37 +104,39 @@ def test_zero_marked_counts():
             assert count == stirling2(n, k)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 10))
 def test_model_matches_recurrence(n):
     for k in range(1, n + 1):
         assert stirling2_q(n, k) == stirling2_q_by_enumeration(n, k)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_pruned_walk_matches_filtered_enumeration(n):
-    # the pruned walk against a filter of the full walk, in order
-    full = list(inversion_sequences(n))
-    assert list(distinct_nonzero_sequences(n)) == [
-        e for e in full if is_distinct_nonzero(e)]
+def test_model_matches_defining_count(n):
+    # the walk against the inversions of each augmented word, over a
+    # filter of the full walk, for every k
     for k in range(1, n + 1):
-        assert list(zero_marked_sequences(n, k)) == [
-            e for e in full if e.count(0) == k and is_distinct_nonzero(e)]
+        assert stirling2_q_by_enumeration(n, k) == QLaurent(Counter(
+            map(augmented_inversions, zero_marked_sequences(n, k)))), k
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_model_counts_each_member_once(n):
+    # q = 1 gives the set-partition count, so a reused value, a value
+    # skipped or a leaf counted twice changes some k's total
+    for k in range(1, n + 1):
+        assert stirling2_q_by_enumeration(n, k).evaluate(1) == stirling2(n, k)
 
 
 def test_enumeration_bound():
     with pytest.raises(ValueError):
         stirling2_q_by_enumeration(10, 3)
-    for n, k in ((9, 10), (3, 0)):
+    for n, k in ((9, 10), (3, 0), (0, 1), (-1, 1),
+                 (3, True), (True, 1), (3.0, 1), (3, 1.0), ("3", 1)):
         with pytest.raises(ValueError):
             stirling2_q_by_enumeration(n, k)
 
 
 def test_zero_marked_guards():
-    # without a full walk, the pruned walk's own length bound is the guard,
-    # checked at the call
-    for n in (0, 13):
-        with pytest.raises(ValueError, match="length"):
-            distinct_nonzero_sequences(n)
     with pytest.raises(ValueError):
         list(zero_marked_sequences(13, 1))
     for k in (0, 4, -1):

@@ -1,11 +1,10 @@
 """The verification suites themselves must go green at small bounds."""
 
 import math
-from itertools import chain
 
 import pytest
 
-from invq import paths, qoperator, qstirling, verify
+from invq import paths, qoperator, verify
 from invq.cli import main
 from invq.verify import SUITES, run_suite
 
@@ -135,37 +134,3 @@ def test_tau_images_still_validated(monkeypatch, capsys, wrong):
     monkeypatch.setattr(paths, "_involution_core", broken)
     code, failed, _ = _verify(capsys, "tau", "8")
     assert (code, failed) == (1, ["tau.involution"])
-
-
-def test_stirling_walk_still_validated(monkeypatch, capsys):
-    # a member with a repeated nonzero entry must be refused by the model
-    # tally, not counted; the per-n walk cache is cleared around
-    walk = qstirling.distinct_nonzero_sequences
-    monkeypatch.setattr(
-        qstirling, "distinct_nonzero_sequences",
-        lambda n: chain(walk(n), [(0,) + (1,) * (n - 1)] if n >= 3 else []))
-    qstirling._augmented_by_zero_count.cache_clear()
-    try:
-        code, failed, out = _verify(capsys, "stirling", "9")
-    finally:
-        qstirling._augmented_by_zero_count.cache_clear()
-    assert (code, failed) == (1, ["stirling.sequence_model"])
-    assert ("fails at n = 3 (ValueError: nonzero entries must be pairwise"
-            " distinct)") in out
-
-
-def test_stirling_walk_refuses_out_of_bounds_member(monkeypatch, capsys):
-    # a member past its entry bound must be refused by validate, not
-    # counted by the lemma; the per-n walk cache is cleared around
-    walk = qstirling.distinct_nonzero_sequences
-    monkeypatch.setattr(
-        qstirling, "distinct_nonzero_sequences",
-        lambda n: chain(walk(n), [(0, 2) + (0,) * (n - 2)] if n >= 2 else []))
-    qstirling._augmented_by_zero_count.cache_clear()
-    try:
-        code, failed, out = _verify(capsys, "stirling", "9")
-    finally:
-        qstirling._augmented_by_zero_count.cache_clear()
-    assert (code, failed) == (1, ["stirling.sequence_model"])
-    assert ("fails at n = 2 (ValueError: entry e_1=2 violates 0 <= e_i <= i)"
-            in out)
